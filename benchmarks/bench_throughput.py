@@ -39,6 +39,10 @@ report (``BENCH_PR1.json`` by default):
   ``BENCH_PR9.json``, and ``--min-sampler-speedup`` (default 1.5) gates
   the aggregate in every mode, including ``--smoke`` under ``make
   check``.
+* **dbrb_kernel**: every other DBRB shape a sweep runs -- the six
+  Figure 6 ablation variants and TDBP -- measured the same way and
+  under the same rule: a ``dbrb-*`` or ``policy:*`` decline aborts the
+  run, so an eligibility regression fails ``make check``.
 
 * **loadsim**: event throughput of the discrete-event load simulator on
   a fixed two-tenant scenario (its own tiny config, so smoke and full
@@ -71,7 +75,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
@@ -80,9 +84,11 @@ if str(REPO_ROOT / "src") not in sys.path:
 import repro.predictors.counting as _counting_mod  # noqa: E402
 import repro.predictors.reftrace as _reftrace_mod  # noqa: E402
 from repro.cache.cache import Cache, CacheAccess  # noqa: E402
+from repro.core.policy import DBRBPolicy  # noqa: E402
 from repro.core.predictor import SamplingDeadBlockPredictor  # noqa: E402
 from repro.core.sampler import Sampler  # noqa: E402
 from repro.core.skewed import SkewedCounterTable  # noqa: E402
+from repro.harness.experiments import ABLATION_VARIANTS  # noqa: E402
 from repro.harness.parallel import (  # noqa: E402
     parallel_single_thread_comparison,
     resolve_jobs,
@@ -402,11 +408,26 @@ def _ineligible_probe_key() -> Optional[str]:
     return None
 
 
+def _technique_builders(technique_keys) -> Dict[str, Callable]:
+    return {key: TECHNIQUES[key].build for key in technique_keys}
+
+
+def _dbrb_shape_builders() -> Dict[str, Callable]:
+    """TDBP and the Figure 6 variants, built as the sweeps build them."""
+    builders = {"tdbp": TECHNIQUES["tdbp"].build}
+    for label, kwargs, _ in ABLATION_VARIANTS:
+        builders[label] = lambda geometry, accesses, kwargs=kwargs: DBRBPolicy(
+            LRUPolicy(), SamplingDeadBlockPredictor(**kwargs)
+        )
+    return builders
+
+
 def _measure_kernel_cells(
-    workload_cache, technique_keys, benchmarks,
+    workload_cache, builders: Dict[str, Callable], benchmarks,
     probe_key: Optional[str] = None, require_array: bool = False,
 ) -> Dict:
-    """Time the given cells through both replay kernels.
+    """Time the given cells (name -> policy builder) through both
+    replay kernels.
 
     Per cell: ``_ARRAY_TRIALS`` interleaved (object, array) runs over
     the same prepared stream, best of each side kept.  The shared
@@ -418,12 +439,12 @@ def _measure_kernel_cells(
     match between kernels; a cell the substrate declines (e.g. a stream
     too small to amortize the frame planes) is recorded as skipped with
     its fallback reason -- unless ``require_array``, where a decline
-    aborts the run (the sampler cells must replay array-native).
+    aborts the run (the DBRB cells must replay array-native).
     """
     geometry = workload_cache.machine.llc
     per_technique: Dict[str, Dict] = {
         key: {"accesses": 0, "object_seconds": 0.0, "array_seconds": 0.0}
-        for key in technique_keys
+        for key in builders
     }
     skipped = []
     fallback_probe = None
@@ -438,13 +459,12 @@ def _measure_kernel_cells(
         # path actually ran: the probe should witness the *policy*
         # decline, not a size-based one.
         measured_any = False
-        for key in technique_keys:
-            technique = TECHNIQUES[key]
+        for key, build in builders.items():
             best_object = best_array = None
             declined = None
             for _ in range(_ARRAY_TRIALS):
                 with _array_kernel_env("0"):
-                    cache = Cache(geometry, technique.build(geometry, accesses))
+                    cache = Cache(geometry, build(geometry, accesses))
                     gc_was_enabled = gc.isenabled()
                     gc.disable()
                     start = time.perf_counter()
@@ -460,7 +480,7 @@ def _measure_kernel_cells(
                     best_object = elapsed
 
                 with _array_kernel_env("1"):
-                    cache = Cache(geometry, technique.build(geometry, accesses))
+                    cache = Cache(geometry, build(geometry, accesses))
                     gc_was_enabled = gc.isenabled()
                     gc.disable()
                     start = time.perf_counter()
@@ -487,9 +507,9 @@ def _measure_kernel_cells(
                 if require_array and declined.startswith(("dbrb-", "policy:")):
                     # Size/state heuristics ("small-stream", "warm-cache")
                     # may still skip a cell; an *eligibility* decline
-                    # means the batched DBRB kernel regressed.
+                    # means the DBRB kernel regressed.
                     raise SystemExit(
-                        f"SAMPLER KERNEL FALLBACK: ({benchmark}, {key}) "
+                        f"DBRB KERNEL FALLBACK: ({benchmark}, {key}) "
                         f"declined the array path: {declined}"
                     )
                 skipped.append(
@@ -543,7 +563,7 @@ def _measure_kernel_cells(
         total["speedup"] = None
     return {
         "benchmarks": list(benchmarks),
-        "techniques": list(technique_keys),
+        "techniques": list(builders),
         "trials": _ARRAY_TRIALS,
         "per_technique": per_technique,
         "skipped": skipped,
@@ -557,7 +577,7 @@ def _measure_array_kernel(workload_cache, technique_keys, benchmarks) -> Dict:
     """The Figure 4-8 baseline families, object vs array kernels, with
     the fallback probe on an ineligible technique."""
     return _measure_kernel_cells(
-        workload_cache, technique_keys, benchmarks,
+        workload_cache, _technique_builders(technique_keys), benchmarks,
         probe_key=_ineligible_probe_key(),
     )
 
@@ -570,7 +590,15 @@ def _measure_sampler_kernel(workload_cache, benchmarks) -> Dict:
     by default now.
     """
     return _measure_kernel_cells(
-        workload_cache, SAMPLER_TECHNIQUES, benchmarks, require_array=True
+        workload_cache, _technique_builders(SAMPLER_TECHNIQUES), benchmarks,
+        require_array=True,
+    )
+
+
+def _measure_dbrb_kernel(workload_cache, benchmarks) -> Dict:
+    """TDBP and the Figure 6 cells, object vs array; a decline is fatal."""
+    return _measure_kernel_cells(
+        workload_cache, _dbrb_shape_builders(), benchmarks, require_array=True
     )
 
 
@@ -881,6 +909,39 @@ def _measure_loadsim() -> Dict:
     }
 
 
+def _print_kernel_section(section: Dict, title: str, detail: str) -> None:
+    detail = detail.format(trials=section["trials"])
+    width = max([14] + [len(key) for key in section["per_technique"]])
+    print(f"\n{title} ({len(section['benchmarks'])} benchmarks, {detail}):")
+    print(
+        f"  {'technique':{width}s} {'object acc/s':>14s} {'array acc/s':>14s} "
+        f"{'speedup':>8s}"
+    )
+    for key, cell in section["per_technique"].items():
+        print(
+            f"  {key:{width}s} {cell['object_acc_per_sec']:>14,.0f} "
+            f"{cell['array_acc_per_sec']:>14,.0f} {cell['speedup']:>7.2f}x"
+        )
+    total = section["total"]
+    if total["speedup"] is not None:
+        print(
+            f"  {'TOTAL':{width}s} {total['object_acc_per_sec']:>14,.0f} "
+            f"{total['array_acc_per_sec']:>14,.0f} "
+            f"{total['speedup']:>7.2f}x"
+        )
+    for cell in section["skipped"]:
+        print(
+            f"  skipped ({cell['benchmark']}, {cell['technique']}): "
+            f"{cell['reason']}"
+        )
+    probe = section["fallback_probe"]
+    if probe is not None:
+        print(
+            f"  fallback probe ({probe['benchmark']}, {probe['technique']}): "
+            f"kernel={probe['kernel']} reason={probe['reason']}"
+        )
+
+
 def _print_report(report: Dict) -> None:
     substrate = report["substrate"]
     print(f"\nsubstrate throughput ({len(substrate['benchmarks'])} benchmarks):")
@@ -896,54 +957,12 @@ def _print_report(report: Dict) -> None:
         f"  {'TOTAL':14s} {total['before_acc_per_sec']:>14,.0f} "
         f"{total['after_acc_per_sec']:>14,.0f} {total['speedup']:>7.2f}x"
     )
-    array_section = report["array_kernel"]
-    print(
-        f"\narray kernel ({len(array_section['benchmarks'])} benchmarks, "
-        f"best of {array_section['trials']} interleaved trials):"
+    _print_kernel_section(
+        report["array_kernel"], "array kernel", "best of {trials} interleaved trials"
     )
-    print(f"  {'technique':14s} {'object acc/s':>14s} {'array acc/s':>14s} {'speedup':>8s}")
-    for key, cell in array_section["per_technique"].items():
-        print(
-            f"  {key:14s} {cell['object_acc_per_sec']:>14,.0f} "
-            f"{cell['array_acc_per_sec']:>14,.0f} {cell['speedup']:>7.2f}x"
-        )
-    array_total = array_section["total"]
-    if array_total["speedup"] is not None:
-        print(
-            f"  {'TOTAL':14s} {array_total['object_acc_per_sec']:>14,.0f} "
-            f"{array_total['array_acc_per_sec']:>14,.0f} "
-            f"{array_total['speedup']:>7.2f}x"
-        )
-    for cell in array_section["skipped"]:
-        print(
-            f"  skipped ({cell['benchmark']}, {cell['technique']}): "
-            f"{cell['reason']}"
-        )
-    probe = array_section["fallback_probe"]
-    if probe is not None:
-        print(
-            f"  fallback probe ({probe['benchmark']}, {probe['technique']}): "
-            f"kernel={probe['kernel']} reason={probe['reason']}"
-        )
-    sampler_section = report["sampler_kernel"]
-    print(
-        f"\nsampler kernel ({len(sampler_section['benchmarks'])} benchmarks, "
-        f"best of {sampler_section['trials']} interleaved trials, "
-        "array path required):"
-    )
-    print(f"  {'technique':14s} {'object acc/s':>14s} {'array acc/s':>14s} {'speedup':>8s}")
-    for key, cell in sampler_section["per_technique"].items():
-        print(
-            f"  {key:14s} {cell['object_acc_per_sec']:>14,.0f} "
-            f"{cell['array_acc_per_sec']:>14,.0f} {cell['speedup']:>7.2f}x"
-        )
-    sampler_total = sampler_section["total"]
-    if sampler_total["speedup"] is not None:
-        print(
-            f"  {'TOTAL':14s} {sampler_total['object_acc_per_sec']:>14,.0f} "
-            f"{sampler_total['array_acc_per_sec']:>14,.0f} "
-            f"{sampler_total['speedup']:>7.2f}x"
-        )
+    required = "best of {trials} interleaved trials, array path required"
+    _print_kernel_section(report["sampler_kernel"], "sampler kernel", required)
+    _print_kernel_section(report["dbrb_kernel"], "Figure 6 + TDBP kernel", required)
     telemetry = report["telemetry"]
     print(
         f"\ntelemetry (sampler cell): probes-off "
@@ -1123,6 +1142,7 @@ def main(argv=None) -> int:
             workload_cache, array_techniques, benchmarks
         ),
         "sampler_kernel": _measure_sampler_kernel(workload_cache, benchmarks),
+        "dbrb_kernel": _measure_dbrb_kernel(workload_cache, benchmarks),
         "telemetry": _measure_telemetry_overhead(workload_cache, benchmarks),
         "store": _measure_store(config, benchmarks),
         "patterns": _measure_patterns(config),

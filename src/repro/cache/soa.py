@@ -51,6 +51,8 @@ from array import array
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.sampler import SamplerShape, simulate_sampled_stream
+
 __all__ = ["PredictionPlane", "ReplayIndex", "SoACache"]
 
 
@@ -166,16 +168,18 @@ class ReplayIndex:
 
 
 class PredictionPlane:
-    """Per-(workload, LLC geometry) precompute for the DBRB array kernel.
+    """Per-(workload, LLC geometry, predictor shape) precompute for the
+    DBRB array kernel's sampler-fed branch.
 
-    The sampling predictor trains exclusively through its sampler, and
-    the sampler observes every access to a sampled set whether the LLC
-    hit or missed -- so sampler and skewed-table evolution is a pure
-    function of the access stream, independent of LLC contents (see
-    :func:`repro.core.sampler.simulate_sampled_stream` for the proof
-    sketch).  This plane caches that one-pass simulation per
-    ``(workload, num_llc_sets)`` on the
-    :class:`~repro.sim.hierarchy.PreparedStream`:
+    With ``use_sampler=True`` the sampling predictor trains exclusively
+    through its sampler, and the sampler observes every access to a
+    sampled set whether the LLC hit or missed -- so sampler and table
+    evolution is a pure function of the access stream, independent of
+    LLC contents (see :func:`repro.core.sampler.simulate_sampled_stream`
+    for the proof sketch).  This plane caches that one-pass simulation
+    on the :class:`~repro.sim.hierarchy.PreparedStream`, keyed by the
+    LLC set count and the predictor's
+    :class:`~repro.core.sampler.SamplerShape`:
 
     * ``dead[p]``: the per-access prediction bit, evaluated after
       position ``p``'s sampler update -- the only predictor output the
@@ -185,13 +189,14 @@ class PredictionPlane:
       predictor objects at the end of its replay (copies, never
       aliases: the plane is shared across techniques).
 
-    Built only for the paper-default predictor shape (32x12 sampler,
-    15-bit tags/signatures, 3x4096 2-bit tables, threshold 8); the DBRB
-    kernel's ``supports`` declines everything else to the object path.
+    Any shape builds: sampler sets and ways, tag and signature widths,
+    table count, entries, counter width, threshold -- every Figure 6
+    variant that keeps the sampler.
     """
 
     __slots__ = (
         "num_llc_sets",
+        "shape",
         "dead",
         "sampler_ways",
         "sampler_stacks",
@@ -202,6 +207,7 @@ class PredictionPlane:
     def __init__(
         self,
         num_llc_sets: int,
+        shape: SamplerShape,
         dead: bytearray,
         sampler_ways: List[List[Tuple[int, int, bool]]],
         sampler_stacks: List[List[int]],
@@ -209,6 +215,7 @@ class PredictionPlane:
         sampler_counters: Tuple[int, int, int],
     ) -> None:
         self.num_llc_sets = num_llc_sets
+        self.shape = shape
         self.dead = dead
         self.sampler_ways = sampler_ways
         self.sampler_stacks = sampler_stacks
@@ -218,19 +225,17 @@ class PredictionPlane:
     @classmethod
     def build(
         cls,
-        accesses: Sequence,
+        pcs: Sequence[int],
         set_indices: Sequence[int],
         tags: Sequence[int],
         num_llc_sets: int,
+        shape: SamplerShape,
     ) -> "PredictionPlane":
-        """Simulate the sampler over a decomposed stream (default shape)."""
-        from repro.core.sampler import simulate_sampled_stream
-
-        pcs = [access.pc for access in accesses]
+        """Simulate a ``shape`` sampler over a decomposed stream."""
         dead, ways, stacks, tables, counters = simulate_sampled_stream(
-            set_indices, tags, pcs, num_llc_sets
+            set_indices, tags, pcs, num_llc_sets, **shape._asdict()
         )
-        return cls(num_llc_sets, dead, ways, stacks, tables, counters)
+        return cls(num_llc_sets, shape, dead, ways, stacks, tables, counters)
 
     def install(self, predictor) -> None:
         """Copy the final sampler/table state into a fresh predictor.
@@ -278,6 +283,8 @@ class SoACache:
         "tag_index",
         "_fills",
         "_dead",
+        "_meta",
+        "meta_key",
         "_next_write",
         "_sentinel",
     )
@@ -298,6 +305,10 @@ class SoACache:
         #: Per-set ``way -> predicted-dead bit``; None = no dead-block
         #: kernel ran (the plane stays zero).
         self._dead: List[Optional[Sequence[int]]] = [None] * num_sets
+        #: Per-set ``way -> block.meta[meta_key]`` value; None = the
+        #: kernel keeps no per-block predictor metadata.
+        self._meta: List[Optional[Sequence[int]]] = [None] * num_sets
+        self.meta_key: Optional[str] = None
         self._next_write: Sequence[int] = ()
         self._sentinel = 0
 
@@ -317,6 +328,7 @@ class SoACache:
         way_fill: List[int],
         filled: int,
         way_dead: Optional[Sequence[int]] = None,
+        way_meta: Optional[Sequence[int]] = None,
     ) -> None:
         """Hand one set's kernel-local state over to the substrate.
 
@@ -329,11 +341,15 @@ class SoACache:
         positions (see the module docstring) -- kernels never track it.
         ``way_dead`` carries the DBRB kernel's per-way predicted-dead
         bits; the simple policies never predict, so they omit it.
+        ``way_meta`` carries the per-way signature an LLC-trained
+        predictor keeps in ``block.meta[self.meta_key]``.
         """
         self.tag_index[set_index] = tag_to_way
         self._fills[set_index] = way_fill
         if way_dead is not None:
             self._dead[set_index] = way_dead
+        if way_meta is not None:
+            self._meta[set_index] = way_meta
 
     # ------------------------------------------------------------------
     def to_cache(self, cache, accesses: Sequence, index: ReplayIndex) -> None:
@@ -350,7 +366,9 @@ class SoACache:
         The predicted-dead plane follows the per-way bits the DBRB
         kernel committed (``way_dead``); the simple policies never
         predict, so their sets skip that branch and blocks keep their
-        ``False``.
+        ``False``.  Likewise only the LLC-trained DBRB branch commits
+        ``way_meta``, the per-block signature its predictor reads back
+        from ``block.meta``.
 
         Relies on the array path's cold-start eligibility: every frame
         starts invalid, and :meth:`~repro.cache.block.CacheBlock.invalidate`
@@ -369,6 +387,8 @@ class SoACache:
         fill_pos = self.fill_pos
         fills = self._fills
         dead_by_set = self._dead
+        meta_by_set = self._meta
+        meta_key = self.meta_key
         next_write = self._next_write
         sentinel = self._sentinel
         for set_index, tag_to_way in enumerate(self.tag_index):
@@ -379,6 +399,7 @@ class SoACache:
             target.update(tag_to_way)
             way_fill = fills[set_index]
             way_dead = dead_by_set[set_index]
+            way_meta = meta_by_set[set_index]
             per_tag = tag_positions[set_index]
             blocks = sets[set_index]
             base = set_index * associativity
@@ -391,6 +412,8 @@ class SoACache:
                 if way_dead is not None and way_dead[way]:
                     dead_plane[frame] = 1
                     blocks[way].predicted_dead = True
+                if way_meta is not None:
+                    blocks[way].meta[meta_key] = way_meta[way]
                 positions = per_tag[tag]
                 # Never-evicted blocks (the common case) were filled at
                 # their tag's first position: skip the bisect.

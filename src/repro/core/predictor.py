@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, TYPE_CHECKING
 
-from repro.core.sampler import Sampler, pc_signature
+from repro.core.sampler import Sampler, SamplerShape, pc_signature
 from repro.core.skewed import SkewedCounterTable
 from repro.predictors.base import DeadBlockPredictor
 
@@ -60,6 +60,8 @@ class SamplingDeadBlockPredictor(DeadBlockPredictor):
     """
 
     name = "sampler"
+    #: ``block.meta`` key of the last-PC signature kept without a sampler.
+    meta_key = _LAST_PC_KEY
 
     def __init__(
         self,
@@ -103,6 +105,21 @@ class SamplingDeadBlockPredictor(DeadBlockPredictor):
                 tag_bits=self._tag_bits,
                 pc_bits=self._pc_bits,
             )
+
+    @property
+    def shape(self) -> SamplerShape:
+        """The sampler and table parameters, as one comparable key."""
+        tables = self.tables
+        return SamplerShape(
+            num_sets=self._sampler_sets,
+            associativity=self._sampler_assoc,
+            tag_bits=self._tag_bits,
+            pc_bits=self._pc_bits,
+            num_tables=tables.num_tables,
+            entries_per_table=len(tables.tables[0]),
+            counter_bits=tables.counter_max.bit_length(),
+            threshold=tables.threshold,
+        )
 
     # ------------------------------------------------------------------
     # prediction: purely a function of the accessing PC

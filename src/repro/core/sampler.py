@@ -27,7 +27,7 @@ Training protocol on an access to a sampled set:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.skewed import SkewedCounterTable, skewed_indices
 from repro.utils.bits import ilog2, mask
@@ -36,6 +36,7 @@ from repro.utils.hashing import fold_xor
 __all__ = [
     "Sampler",
     "SamplerEntry",
+    "SamplerShape",
     "partial_tag",
     "pc_signature",
     "simulate_sampled_stream",
@@ -248,6 +249,25 @@ class Sampler:
 # ----------------------------------------------------------------------
 # batched plane construction for the array replay path
 # ----------------------------------------------------------------------
+class SamplerShape(NamedTuple):
+    """Every predictor parameter :func:`simulate_sampled_stream` reads,
+    keyword for keyword; the defaults are the paper's configuration.
+
+    Two predictors with equal shapes evolve identically over the same
+    stream, so the shape is the cache key of a prediction plane (see
+    :meth:`repro.sim.hierarchy.PreparedStream.prediction_plane`).
+    """
+
+    num_sets: int = 32
+    associativity: int = 12
+    tag_bits: int = 15
+    pc_bits: int = 15
+    num_tables: int = 3
+    entries_per_table: int = 4096
+    counter_bits: int = 2
+    threshold: int = 8
+
+
 def simulate_sampled_stream(
     set_indices: Sequence[int],
     tags: Sequence[int],

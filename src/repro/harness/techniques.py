@@ -152,6 +152,7 @@ TECHNIQUES: Dict[str, Technique] = {
             "TDBP",
             "Dead block bypass and replacement with reftrace, default LRU policy",
             _tdbp,
+            array_eligible=True,
         ),
         Technique(
             "cdbp",

@@ -56,6 +56,8 @@ class RefTracePredictor(DeadBlockPredictor):
     """
 
     name = "reftrace"
+    #: ``block.meta`` key of the per-block trace signature.
+    meta_key = _META_KEY
 
     def __init__(
         self,

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cache.cache import CacheAccess
 from repro.cache.geometry import CacheGeometry
+from repro.core.sampler import SamplerShape
 from repro.sim.trace import Trace
 
 __all__ = [
@@ -141,6 +142,7 @@ class PreparedStream:
         "set_indices",
         "tags",
         "writes",
+        "_pcs",
         "_replay_index",
         "_prediction_plane",
     )
@@ -151,11 +153,13 @@ class PreparedStream:
         set_indices: List[int],
         tags: List[int],
         writes: Optional[List[bool]] = None,
+        pcs: Optional[List[int]] = None,
     ) -> None:
         self.accesses = accesses
         self.set_indices = set_indices
         self.tags = tags
         self.writes = writes
+        self._pcs = pcs
         self._replay_index = None
         self._prediction_plane = None
 
@@ -178,22 +182,35 @@ class PreparedStream:
             self._replay_index = index
         return index
 
-    def prediction_plane(self, num_sets: int):
-        """The stream's :class:`~repro.cache.soa.PredictionPlane`, built
-        on first use and cached -- the sampler-side analog of
-        :meth:`replay_index`.  Sampler and table evolution depend only on
-        the access stream and the LLC set count (the sampler interval),
-        so one plane serves both ``sampler`` and ``random_sampler`` (and
-        any other default-shape DBRB technique) of a sweep.  Only the
-        paper-default predictor shape is precomputed; ablation shapes
-        replay on the object kernel and never ask for a plane.
+    @property
+    def pcs(self) -> List[int]:
+        """Per-position PCs: the list the stream was prepared from, or
+        one built from the accesses on first use and kept, so every
+        prediction plane and DBRB replay of the stream shares it."""
+        pcs = self._pcs
+        if pcs is None:
+            pcs = self._pcs = [access.pc for access in self.accesses]
+        return pcs
+
+    def prediction_plane(self, num_sets: int, shape: SamplerShape = SamplerShape()):
+        """The stream's :class:`~repro.cache.soa.PredictionPlane` for one
+        predictor shape, built on first use and cached -- the
+        sampler-side analog of :meth:`replay_index`.  Sampler and table
+        evolution depend only on the access stream, the LLC set count
+        (the sampler interval) and the predictor's
+        :class:`~repro.core.sampler.SamplerShape`, so one plane serves
+        every DBRB technique of that shape (``sampler`` and
+        ``random_sampler`` share the paper's).  The stream keeps one
+        plane: asking for another set count or shape replaces it, so a
+        Figure 6 sweep, which runs a stream's variants back to back,
+        builds each sampler-fed shape once and never holds two planes.
         """
         plane = self._prediction_plane
-        if plane is None or plane.num_llc_sets != num_sets:
+        if plane is None or plane.num_llc_sets != num_sets or plane.shape != shape:
             from repro.cache.soa import PredictionPlane
 
             plane = PredictionPlane.build(
-                self.accesses, self.set_indices, self.tags, num_sets
+                self.pcs, self.set_indices, self.tags, num_sets, shape
             )
             self._prediction_plane = plane
         return plane
@@ -230,14 +247,14 @@ def prepare_stream(
         map(CacheAccess, addresses, pcs, writes, range(count), repeat(core, count))
     )
     if set_indices is not None:
-        return PreparedStream(accesses, set_indices, tags, writes)
+        return PreparedStream(accesses, set_indices, tags, writes, pcs)
     offset_bits = geometry.offset_bits
     index_bits = geometry.index_bits
     index_mask = geometry.num_sets - 1
     blocks = [address >> offset_bits for address in addresses]
     derived_sets = [block & index_mask for block in blocks]
     derived_tags = [block >> index_bits for block in blocks]
-    return PreparedStream(accesses, derived_sets, derived_tags, writes)
+    return PreparedStream(accesses, derived_sets, derived_tags, writes, pcs)
 
 
 class FilteredTrace:

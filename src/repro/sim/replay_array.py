@@ -45,31 +45,36 @@ Loop shape notes (all measured on real filtered LLC streams):
   common case under mostly-distant insertion), take the first by C
   ``list.index``; otherwise age by the deficit in one slice-assign.
 
-* **Dead-block batched** (the paper's headline ``sampler`` /
-  ``random_sampler`` techniques): with the default sampling predictor,
-  all training flows through the sampler, which observes every access
-  to a sampled set regardless of LLC hit/miss -- so the per-access
-  prediction bits and the final sampler/table state are a pure function
-  of the stream, precomputed once per workload as a
+* **Dead-block replacement and bypass**, in two branches.
+  *Sampler-fed* (``use_sampler=True``, any sampler or table shape,
+  including the paper's headline ``sampler`` / ``random_sampler``): all
+  training flows through the sampler, which observes every access to a
+  sampled set regardless of LLC hit/miss -- so the per-access prediction
+  bits and the final sampler/table state are a pure function of the
+  stream, precomputed once per workload and predictor shape as a
   :class:`~repro.cache.soa.PredictionPlane` (cached on the
-  :class:`~repro.sim.hierarchy.PreparedStream`, shared by every
-  default-shape DBRB technique).  The LLC-side replay then reduces to
-  the default policy's kernel shape plus three sparse twists: a dead
-  prediction on a miss bypasses, a predicted-dead way (LRU-first for an
-  LRU default, way-order for random) overrides the victim, and hits
-  refresh the per-way dead bit.
+  :class:`~repro.sim.hierarchy.PreparedStream`, one slot keyed by the
+  shape).  The LLC-side replay then reduces to the default policy's
+  kernel shape plus three sparse twists: a dead prediction on a miss
+  bypasses, a predicted-dead way (LRU-first for an LRU default,
+  way-order for random) overrides the victim, and hits refresh the
+  per-way dead bit.  *LLC-trained* (``use_sampler=False`` -- Figure 6's
+  "DBRB alone" and "DBRB+3 tables" -- and reftrace, the paper's TDBP):
+  the counters train on the LLC's own hits and evictions, so the
+  kernel walks the stream in order with each frame's signature and
+  dead bit on flat planes and the counter banks in one flat list.
 
 Eligibility and fallback: a policy opts in by registering a kernel on
 its *exact* class
 (:meth:`repro.replacement.base.ReplacementPolicy.register_array_kernel`);
-everything else -- CDBP/TDBP, SHiP, TADIP, optimal, the VVC cache
-subclass, observer-attached or probe-enabled or paranoid replays --
-falls through to the object kernel, which stays the bit-identity
-oracle.  The DBRB kernel additionally declines every Figure 6 ablation
-shape (``use_sampler=False``, single-table, non-default sampler or
-table geometry, bypass/replacement knobs off, non-LRU/random defaults,
-pre-trained predictors) with a ``dbrb-*`` fallback reason; multicore
-merged replays already fall back via ``no-decomposition``.
+everything else -- SHiP, TADIP, optimal, the VVC cache subclass,
+observer-attached or probe-enabled or paranoid replays -- falls through
+to the object kernel, which stays the bit-identity oracle.  The DBRB
+kernel takes every Figure 6 shape and TDBP, and declines, with a
+``dbrb-*`` fallback reason, the counting predictor (CDBP), defaults
+other than LRU and random, the bypass or replacement knob off, and a
+pre-trained sampler-fed predictor; multicore merged replays already
+fall back via ``no-decomposition``.
 ``REPRO_ARRAY_KERNEL=0`` disables the array path globally.  The chosen
 kernel and any fallback reason are recorded on the cache
 (``last_replay_kernel`` / ``last_replay_fallback``) for run manifests
@@ -85,6 +90,9 @@ from typing import List, Optional, Tuple
 from repro.cache.soa import PredictionPlane, ReplayIndex, SoACache
 from repro.core.policy import DBRBPolicy
 from repro.core.predictor import SamplingDeadBlockPredictor
+from repro.core.sampler import pc_signature
+from repro.core.skewed import skewed_indices
+from repro.predictors.reftrace import RefTracePredictor
 from repro.replacement.dip import BIPPolicy, DIPPolicy
 from repro.replacement.lru import LRUPolicy
 from repro.replacement.plru import TreePLRUPolicy
@@ -406,11 +414,12 @@ class _SRRIPKernel:
 # stream-order kernels (global policy state)
 # ----------------------------------------------------------------------
 def _commit_flat(soa, index, way_keys, way_fill, filled_by_set, associativity,
-                 pred=None):
+                 pred=None, meta=None):
     """Commit the flat frame planes of a stream-order kernel: rebuild
     each touched set's ``tag -> way`` dict from the stored block keys
     (``tag = key >> index_bits``) and hand it to the substrate.  ``pred``
-    is the DBRB kernel's frame-indexed predicted-dead plane; sliced
+    is the DBRB kernel's frame-indexed predicted-dead plane and ``meta``
+    its LLC-trained branch's per-frame signature plane; both are sliced
     per set on the way through."""
     index_bits = index.index_bits
     commit_set = soa.commit_set
@@ -429,6 +438,7 @@ def _commit_flat(soa, index, way_keys, way_fill, filled_by_set, associativity,
             way_fill[base : base + associativity],
             filled,
             None if pred is None else pred[base : base + associativity],
+            None if meta is None else meta[base : base + associativity],
         )
     return filled_total
 
@@ -830,11 +840,14 @@ class _DRRIPKernel:
 # dead-block replacement and bypass (the paper's headline technique)
 # ----------------------------------------------------------------------
 class _DBRBKernel:
-    """DBRB over the default sampling predictor, in two variants keyed
-    off the default policy's exact type.
+    """DBRB over an LRU or random default, in two branches keyed off the
+    predictor.
 
-    The predictor side is entirely precomputed: the shared
-    :class:`~repro.cache.soa.PredictionPlane` carries ``dead[p]`` -- the
+    **Sampler-fed** (:class:`~repro.core.predictor.SamplingDeadBlockPredictor`
+    with ``use_sampler``, any sampler or table shape): the predictor side
+    is entirely precomputed.  The stream's
+    :class:`~repro.cache.soa.PredictionPlane` for this predictor's
+    :class:`~repro.core.sampler.SamplerShape` carries ``dead[p]`` -- the
     prediction the object path would assign on a hit (``touch``) and
     consult on a miss (``predict_fill`` / ``install``, identical within
     one access since no training separates them) -- plus the final
@@ -853,6 +866,15 @@ class _DBRBKernel:
     * fill: the new block's dead bit is ``dead[p]``, necessarily False
       here because a True prediction bypassed.
 
+    **LLC-trained** (``use_sampler=False`` and
+    :class:`~repro.predictors.reftrace.RefTracePredictor`): the counters
+    train on the LLC's own hits and evictions, so nothing is
+    precomputed and :meth:`_run_trained` walks the stream in order.
+
+    Shapes that still decline: the counting predictor, defaults other
+    than LRU and random, either DBRB knob off, and a sampler-fed
+    predictor that is already warm (the plane simulates from cold).
+
     Writebacks, ``access_count`` / ``last_access_seq``, and the dirty
     bit keep the shared :class:`~repro.cache.soa.ReplayIndex` recovery:
     the residency argument survives bypass because a bypassed access is
@@ -864,8 +886,9 @@ class _DBRBKernel:
 
     def supports(self, cache, policy) -> Optional[str]:
         predictor = policy.predictor
-        if type(predictor) is not SamplingDeadBlockPredictor:
-            return f"dbrb-predictor:{type(predictor).__name__}"
+        kind = type(predictor)
+        if kind is not SamplingDeadBlockPredictor and kind is not RefTracePredictor:
+            return f"dbrb-predictor:{kind.__name__}"
         default = policy.default
         if type(default) is not LRUPolicy and type(default) is not RandomPolicy:
             return f"dbrb-default:{type(default).__name__}"
@@ -873,31 +896,11 @@ class _DBRBKernel:
             return "dbrb-no-bypass"
         if not policy.enable_replacement:
             return "dbrb-no-replacement"
-        if not predictor.use_sampler:
-            return "dbrb-no-sampler"
-        if not predictor.skewed:
-            return "dbrb-single-table"
-        if (
-            predictor._sampler_sets != 32
-            or predictor._sampler_assoc != 12
-            or predictor._tag_bits != 15
-            or predictor._pc_bits != 15
-        ):
-            return "dbrb-sampler-geometry"
-        tables = predictor.tables
-        if (
-            tables.num_tables != 3
-            or len(tables.tables[0]) != 4096
-            or tables.threshold != 8
-            or tables.counter_max != 3
-        ):
-            return "dbrb-table-geometry"
-        sampler = predictor.sampler
-        if (
-            sampler is None
-            or sampler.accesses
+        sampler = getattr(predictor, "sampler", None)
+        if sampler is not None and (
+            sampler.accesses
             or any(entry.valid for entries in sampler.sets for entry in entries)
-            or any(map(any, tables.tables))
+            or any(map(any, predictor.tables.tables))
         ):
             # The plane simulates from a cold predictor; a pre-trained
             # one (warmup experiments) replays on the object kernel.
@@ -905,18 +908,25 @@ class _DBRBKernel:
         return None
 
     def run(self, cache, policy, accesses, set_indices, tags, index, soa, stream=None):
+        if stream is None or not hasattr(stream, "prediction_plane"):
+            stream = None
+        pcs = [access.pc for access in accesses] if stream is None else stream.pcs
+        predictor = policy.predictor
+        if getattr(predictor, "sampler", None) is None:
+            # No sampler (use_sampler=False, or reftrace): the LLC trains.
+            return self._run_trained(cache, policy, accesses, set_indices, index, soa, pcs)
         num_sets = cache.geometry.num_sets
-        if stream is not None and hasattr(stream, "prediction_plane"):
-            plane = stream.prediction_plane(num_sets)
+        if stream is None:
+            plane = PredictionPlane.build(pcs, set_indices, tags, num_sets, predictor.shape)
         else:
-            plane = PredictionPlane.build(accesses, set_indices, tags, num_sets)
+            plane = stream.prediction_plane(num_sets, predictor.shape)
         if type(policy.default) is LRUPolicy:
             result = self._run_lru(cache, policy, accesses, index, soa, plane)
         else:
             result = self._run_random(
                 cache, policy, accesses, set_indices, index, soa, plane
             )
-        plane.install(policy.predictor)
+        plane.install(predictor)
         return result
 
     def _run_lru(self, cache, policy, accesses, index, soa, plane):
@@ -1056,14 +1066,196 @@ class _DBRBKernel:
             hits, filled_total, writeback_total, bypass_total, dead_victim_total
         )
 
+    def _run_trained(self, cache, policy, accesses, set_indices, index, soa, pcs):
+        """Stream order, like :class:`_DIPKernel`: the counter tables are
+        global and trained by the LLC itself, so cross-set order matters.
+
+        Per-set recency is an OrderedDict over the set's filled frames
+        (front = LRU; LRU default only), and each frame carries its
+        signature (``way_sig``) and dead bit (``pred``) on flat planes.
+        Both predictors reduce to the same loop: a signature names a
+        tuple of slots in one flat counter list (the concatenated skewed
+        banks, or reftrace's single table), its prediction is the slot
+        sum against the threshold, and the object path's events map to
+
+        * hit: train the stored signature live, replace it with
+          ``(old * chain + fold(pc)) & mask`` -- the last-PC signature
+          (``chain`` 0) or reftrace's truncated running sum (``chain``
+          1) -- and predict from it;
+        * miss: predict ``fold(pc)``; dead bypasses.  Otherwise the
+          victim is the predicted-dead way nearest the LRU end (random
+          default: the lowest, the RNG drawn only when no way is dead),
+          its signature trains dead, and the fill's dead bit is
+          predicted *after* that training.
+
+        The frame planes, the counters, the recency stacks or RNG, and
+        every resident block's ``meta`` signature are written back so the
+        end state is the object kernel's.
+        """
+        associativity = cache.geometry.associativity
+        predictor = policy.predictor
+        if type(predictor) is RefTracePredictor:
+            banks = [predictor.table]
+            bits = predictor.signature_bits
+            threshold = predictor.threshold
+            counter_max = predictor.counter_max
+            chain = 1
+
+            def slots_of(signature):
+                return (signature,)
+
+        else:
+            tables = predictor.tables
+            banks = tables.tables
+            bits = predictor._pc_bits
+            threshold = tables.threshold
+            counter_max = tables.counter_max
+            chain = 0
+            num_tables = tables.num_tables
+            index_bits = tables.index_bits
+            entries = len(banks[0])
+
+            def slots_of(signature):
+                return tuple(
+                    bank * entries + slot
+                    for bank, slot in enumerate(
+                        skewed_indices(signature, num_tables, index_bits)
+                    )
+                )
+
+        soa.meta_key = predictor.meta_key
+        flat: List[int] = []
+        for bank in banks:
+            flat.extend(bank)
+        count = flat.__getitem__
+        sig_mask = (1 << bits) - 1
+        lru = type(policy.default) is LRUPolicy
+        num_sets = index.num_sets
+        frames = num_sets * associativity
+        next_write = index.next_write
+        way_keys = [0] * frames
+        way_fill = [0] * frames
+        way_sig = [0] * frames
+        pred = bytearray(frames)
+        pred_find = pred.find
+        filled_by_set = [0] * num_sets
+        ods: List[Optional["OrderedDict[int, None]"]] = [None] * num_sets
+        movers: List = [None] * num_sets
+        lookup = {}
+        lookup_get = lookup.get
+        folds = {}
+        folds_get = folds.get
+        slot_memo = {}
+        slot_memo_get = slot_memo.get
+        rng_state = None if lru else policy.default._rng._state
+        hits = [True] * len(accesses)
+        writeback_total = 0
+        bypass_total = 0
+        dead_victim_total = 0
+        for position, key in enumerate(index.block_keys):
+            pc = pcs[position]
+            fold = folds_get(pc)
+            if fold is None:
+                fold = folds[pc] = pc_signature(pc, bits)
+            frame = lookup_get(key)
+            if frame is not None:
+                if lru:
+                    movers[set_indices[position]](frame)
+                signature = way_sig[frame]
+                for slot in slot_memo[signature]:
+                    value = flat[slot]
+                    if value:
+                        flat[slot] = value - 1
+                signature = (signature * chain + fold) & sig_mask
+                way_sig[frame] = signature
+                slots = slot_memo_get(signature)
+                if slots is None:
+                    slots = slot_memo[signature] = slots_of(signature)
+                pred[frame] = sum(map(count, slots)) >= threshold
+                continue
+            hits[position] = False
+            slots = slot_memo_get(fold)
+            if slots is None:
+                slots = slot_memo[fold] = slots_of(fold)
+            if sum(map(count, slots)) >= threshold:
+                bypass_total += 1
+                continue
+            set_index = set_indices[position]
+            base = set_index * associativity
+            filled = filled_by_set[set_index]
+            if filled < associativity:
+                # A never-filled frame's dead bit is already 0, which is
+                # the prediction just made (no training since).
+                frame = base + filled
+                filled_by_set[set_index] = filled + 1
+                if lru:
+                    od = ods[set_index]
+                    if od is None:
+                        od = ods[set_index] = OrderedDict()
+                        movers[set_index] = od.move_to_end
+                    od[frame] = None
+            else:
+                frame = pred_find(1, base, base + associativity)
+                if frame >= 0:
+                    dead_victim_total += 1
+                    if lru:
+                        for frame in ods[set_index]:  # from the LRU end
+                            if pred[frame]:
+                                break
+                elif lru:
+                    frame = next(iter(ods[set_index]))
+                else:
+                    x = rng_state
+                    x ^= (x << 13) & _MASK64
+                    x ^= x >> 7
+                    x ^= (x << 17) & _MASK64
+                    rng_state = x
+                    frame = base + (
+                        ((x * _XORSHIFT_MULT) & _MASK64) >> 11
+                    ) % associativity
+                if lru:
+                    movers[set_index](frame)
+                if next_write[way_fill[frame]] < position:
+                    writeback_total += 1
+                del lookup[way_keys[frame]]
+                for slot in slot_memo[way_sig[frame]]:
+                    value = flat[slot]
+                    if value < counter_max:
+                        flat[slot] = value + 1
+                pred[frame] = sum(map(count, slots)) >= threshold
+            lookup[key] = frame
+            way_keys[frame] = key
+            way_fill[frame] = position
+            way_sig[frame] = fold
+        offset = 0
+        for bank in banks:
+            bank[:] = flat[offset : offset + len(bank)]
+            offset += len(bank)
+        if lru:
+            stacks = policy.default._stacks
+            for set_index, od in enumerate(ods):
+                if od is not None:
+                    base = set_index * associativity
+                    stack = [frame - base for frame in reversed(od)]
+                    stack.extend(range(len(stack), associativity))
+                    stacks[set_index] = stack
+        else:
+            policy.default._rng._state = rng_state
+        filled_total = _commit_flat(
+            soa, index, way_keys, way_fill, filled_by_set, associativity, pred, way_sig
+        )
+        return _finish(
+            hits, filled_total, writeback_total, bypass_total, dead_victim_total
+        )
+
 
 # The Figure 4-8 baseline families opt in here; everything else falls
 # back to the object kernel.  Registration is exact-type (see
 # ReplacementPolicy.register_array_kernel), so e.g. TADIPPolicy (an
 # LRUPolicy subclass) and SHiPPolicy (an SRRIP derivative) are NOT
-# covered by their parents' kernels.  DBRBPolicy registers the sampler
-# kernel; its ``supports`` narrows eligibility to the paper-default
-# predictor shape over an LRU or random default.
+# covered by their parents' kernels.  DBRBPolicy registers the DBRB
+# kernel; its ``supports`` narrows eligibility to the sampling and
+# reftrace predictors over an LRU or random default.
 LRUPolicy.register_array_kernel(_LRUKernel())
 TreePLRUPolicy.register_array_kernel(_PLRUKernel())
 SRRIPPolicy.register_array_kernel(_SRRIPKernel())

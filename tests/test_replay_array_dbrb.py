@@ -1,25 +1,31 @@
-"""The batched DBRB kernel: equivalence, ablation fallback, fleet identity.
+"""The array DBRB kernel: equivalence, plane caching, fallback, fleet identity.
 
-PR focus: the paper's headline technique -- DBRB over the sampling dead
-block predictor -- now replays array-native.  The prediction plane is a
-pure function of the access stream (with ``use_sampler=True`` the
-sampler sees every access to a sampled set whether the LLC hit or
-missed, and training comes exclusively from the sampler), so the kernel
-consumes a precomputed ``dead[p]`` plane and must leave behind exactly
-the object path's state: stats including bypasses and dead-block
-victims, block contents including the per-block prediction bit, the
+DBRB replays array-native over every Figure 6 predictor shape and over
+reftrace (TDBP), with an LRU or a random default, in two branches:
+
+* **sampler-fed** (``use_sampler=True``, any sampler or table shape):
+  sampler and table evolution is a pure function of the access stream,
+  so the kernel consumes a precomputed ``dead[p]`` plane, cached per
+  stream and keyed by the predictor's shape;
+* **LLC-trained** (``use_sampler=False`` and reftrace): the tables
+  train on the LLC's own hits and evictions, so the kernel walks the
+  stream in order with the signatures on flat frame planes.
+
+Either way the kernel must leave behind exactly the object path's
+state: stats including bypasses and dead-block victims, block contents
+including the per-block prediction bit and signature ``meta``, the
 default policy's recency stacks or RNG position, and the predictor's
-sampler sets, sampler stacks, and skewed counter tables.
+counter tables and (when it has one) sampler sets, stacks and counters.
 
-Three layers of pinning, mirroring ``test_replay_array``:
+Layers of pinning, mirroring ``test_replay_array``:
 
-* golden full-state equivalence on a stream engineered to actually
-  exercise bypasses and dead-victim overrides (scanning PCs that train
-  dead, reuse PCs that train live);
-* a hypothesis property over random streams and geometries for both
-  default policies;
-* every Figure 6 ablation shape must fall back to the object kernel
-  with its documented ``dbrb-*`` reason;
+* full-state equivalence on a stream engineered to actually exercise
+  bypasses and dead-victim overrides (scanning PCs that train dead,
+  reuse PCs that train live), for every shape and both defaults;
+* a hypothesis property over random streams and geometries;
+* a plane built for one predictor shape is never served to another;
+* the shapes that still decline fall back to the object kernel with
+  their documented ``dbrb-*`` reason;
 * sweep bit-identity with the kernel toggled on/off across the serial
   and parallel shared-memory paths, plus the fleet: a sampler sweep
   surviving a chaos-killed worker must stay bit-identical to the
@@ -42,19 +48,42 @@ import repro
 from repro.cache.cache import Cache, CacheAccess
 from repro.cache.geometry import CacheGeometry
 from repro.core import DBRBPolicy, SamplingDeadBlockPredictor
-from repro.predictors import CountingPredictor
+from repro.harness.experiments import ABLATION_VARIANTS
+from repro.predictors import CountingPredictor, RefTracePredictor
 from repro.replacement import LRUPolicy, RandomPolicy, TreePLRUPolicy
+from repro.sim.hierarchy import PreparedStream
 from repro.sim.replay import replay
 from repro.utils.rng import XorShift64
 
 GEOMETRY = CacheGeometry(size_bytes=64 * 8 * 64, associativity=8, block_bytes=64)
 
-#: Both Table V cells that build a DBRBPolicy over the sampling predictor.
+#: Every other predictor shape the kernel takes: the first five Figure 6
+#: variants (the sixth is the paper's configuration), a threshold
+#: override, and reftrace (TDBP).
+PREDICTORS = {
+    **{
+        label: lambda kwargs=kwargs: SamplingDeadBlockPredictor(**kwargs)
+        for label, kwargs, _ in ABLATION_VARIANTS[:-1]
+    },
+    "threshold=4": lambda: SamplingDeadBlockPredictor(threshold=4),
+    "reftrace": RefTracePredictor,
+}
+DEFAULTS = {"lru": LRUPolicy, "random": RandomPolicy}
+
+#: Both Table V cells that build a DBRBPolicy over the sampling
+#: predictor, then every shape above over both defaults.
 DBRB_POLICIES = {
     "sampler": lambda: DBRBPolicy(LRUPolicy(), SamplingDeadBlockPredictor()),
     "random_sampler": lambda: DBRBPolicy(
         RandomPolicy(), SamplingDeadBlockPredictor()
     ),
+    **{
+        f"{shape}-{default}": lambda shape=shape, default=default: DBRBPolicy(
+            DEFAULTS[default](), PREDICTORS[shape]()
+        )
+        for shape in PREDICTORS
+        for default in DEFAULTS
+    },
 }
 
 
@@ -130,8 +159,13 @@ def dbrb_state(policy):
     if rng is not None:
         state["default_rng"] = rng._state
     predictor = policy.predictor
+    if isinstance(predictor, RefTracePredictor):
+        state["tables"] = repr(predictor.table)
+        return state
     state["tables"] = repr(predictor.tables.tables)
     sampler = predictor.sampler
+    if sampler is None:
+        return state
     state["sampler_sets"] = [
         [
             (entry.valid, entry.partial_tag, entry.signature, entry.prediction)
@@ -226,16 +260,17 @@ def test_dbrb_array_kernel_handles_stream_seq_offsets(monkeypatch):
 
 @given(
     seed=st.integers(0, 2**32 - 1),
-    length=st.integers(150, 600),
-    sets=st.sampled_from([8, 16]),
+    length=st.integers(300, 700),
+    sets=st.sampled_from([8, 16, 64]),
     assoc=st.sampled_from([2, 4]),
     name=st.sampled_from(sorted(DBRB_POLICIES)),
     engineered=st.booleans(),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_dbrb_equivalence_property(seed, length, sets, assoc, name, engineered):
     """Random streams and geometries (including caches smaller than the
-    32-set sampler, where every set is sampled): never a divergence."""
+    32-set sampler, where every set is sampled, and 64 sets, where every
+    other set is not): never a divergence."""
     geometry = CacheGeometry(size_bytes=sets * assoc * 64, associativity=assoc)
     maker = make_dead_stream if engineered else make_mixed_stream
     accesses = maker(geometry, length=length, seed=seed | 1)
@@ -250,7 +285,62 @@ def test_dbrb_equivalence_property(seed, length, sets, assoc, name, engineered):
 
 
 # ----------------------------------------------------------------------
-# ablation shapes: every documented dbrb-* fallback reason
+# LLC-trained tables and the per-shape prediction plane
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("shape", ["DBRB alone", "DBRB+3 tables", "reftrace"])
+def test_dbrb_llc_trained_warm_tables_stay_array(shape, monkeypatch):
+    """The in-loop branch trains the live tables, so pre-trained counters
+    need no fallback: the replay starts from them as the object path does."""
+
+    def warm_policy():
+        policy = DBRB_POLICIES[f"{shape}-lru"]()
+        predictor = policy.predictor
+        for pc in (0x40, 0x41, 0x900):
+            for _ in range(3):
+                if shape == "reftrace":
+                    predictor._train(predictor._initial_signature(pc), dead=True)
+                else:
+                    predictor.tables.train(predictor._signature(pc), dead=True)
+        return policy
+
+    object_side, array_side = replay_both(
+        warm_policy, GEOMETRY, make_dead_stream(GEOMETRY), monkeypatch
+    )
+    assert_equivalent(object_side, array_side)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        ("sampler", "DBRB+sampler+12-way", "sampler"),
+        ("DBRB+sampler+12-way", "sampler", "DBRB+sampler+12-way"),
+    ],
+    ids=["sampler-first", "12-way-first"],
+)
+def test_prediction_plane_never_served_to_another_shape(order, monkeypatch):
+    """One PreparedStream, shapes alternating: each replay must equal
+    its own object replay, so a plane cached for one shape can never
+    answer for another."""
+    factories = {
+        "sampler": DBRB_POLICIES["sampler"],
+        "DBRB+sampler+12-way": DBRB_POLICIES["DBRB+sampler+12-way-lru"],
+    }
+    accesses = make_dead_stream(GEOMETRY)
+    set_indices, tags = decompose(GEOMETRY, accesses)
+    stream = PreparedStream(accesses, set_indices, tags)
+    for name in order:
+        monkeypatch.setenv("REPRO_ARRAY_KERNEL", "0")
+        object_cache = Cache(GEOMETRY, factories[name]())
+        object_hits = replay(object_cache, accesses, set_indices, tags)
+        monkeypatch.setenv("REPRO_ARRAY_KERNEL", "1")
+        array_cache = Cache(GEOMETRY, factories[name]())
+        array_hits = replay(array_cache, accesses, set_indices, tags, stream=stream)
+        assert_equivalent((object_hits, object_cache), (array_hits, array_cache))
+        assert stream._prediction_plane.shape == array_cache.policy.predictor.shape
+
+
+# ----------------------------------------------------------------------
+# the shapes that still decline: every documented dbrb-* fallback reason
 # ----------------------------------------------------------------------
 STREAM = make_dead_stream(GEOMETRY)
 SET_INDICES, TAGS = decompose(GEOMETRY, STREAM)
@@ -267,18 +357,6 @@ ABLATIONS = {
     ),
     "dbrb-no-replacement": lambda: DBRBPolicy(
         LRUPolicy(), SamplingDeadBlockPredictor(), enable_replacement=False
-    ),
-    "dbrb-no-sampler": lambda: DBRBPolicy(
-        LRUPolicy(), SamplingDeadBlockPredictor(use_sampler=False)
-    ),
-    "dbrb-single-table": lambda: DBRBPolicy(
-        LRUPolicy(), SamplingDeadBlockPredictor(skewed=False)
-    ),
-    "dbrb-sampler-geometry": lambda: DBRBPolicy(
-        LRUPolicy(), SamplingDeadBlockPredictor(sampler_assoc=16)
-    ),
-    "dbrb-table-geometry": lambda: DBRBPolicy(
-        LRUPolicy(), SamplingDeadBlockPredictor(threshold=4)
     ),
 }
 
