@@ -22,8 +22,8 @@ help:
 	@echo "test-loadsim load-simulator tests only: engine, arrivals, determinism, golden percentiles (hard per-test deadlines)"
 	@echo "lint         ruff check (skips with a notice when ruff is not installed)"
 	@echo "check        lint + test suite + fault tests + bench-smoke + serve-smoke + fleet-smoke + pattern-smoke + loadsim-smoke (the default pre-commit gate)"
-	@echo "bench        measure replay-engine throughput -> BENCH_PR1.json"
-	@echo "bench-smoke  tiny-budget bench harness validation -> BENCH_SMOKE.json"
+	@echo "bench        kernel/telemetry/store/pattern/loadsim bench -> BENCH.json (the committed baseline)"
+	@echo "bench-smoke  tiny-budget bench run with every gate -> BENCH_SMOKE.json"
 	@echo "serve-smoke  boot the job service, run a sweep through the client SDK, assert bit-identity with serial"
 	@echo "fleet-smoke  chaos gate: fleet server + 2 workers, one chaos-killed mid-lease; re-dispatch must yield a bit-identical sweep"
 	@echo "pattern-smoke tiny Zipf-skew sweep through the service; must be bit-identical to serial, dedup fully, and 400 bad specs"
@@ -125,13 +125,14 @@ figures-fast:
 results:
 	@for f in benchmarks/results/*.txt; do echo; cat $$f; done
 
-# BENCH_PR*.json are committed per-PR baselines and must survive a
-# clean; every other BENCH_*.json at the repo root (e.g. BENCH_SMOKE)
-# is a dropping from a local bench run.  The compiled workload store is
-# deliberately NOT cleaned here -- that is what clean-cache is for.
+# BENCH.json is the committed bench baseline and must survive a clean
+# (the BENCH_*.json pattern does not match it); every BENCH_*.json at
+# the repo root (e.g. BENCH_SMOKE) is a dropping from a local bench run.
+# The compiled workload store is deliberately NOT cleaned here -- that
+# is what clean-cache is for.
 clean:
 	rm -rf .pytest_cache .hypothesis .benchmarks benchmarks/results src/repro.egg-info
-	find . -maxdepth 1 -name 'BENCH_*.json' ! -name 'BENCH_PR*.json' -delete
+	find . -maxdepth 1 -name 'BENCH_*.json' -delete
 	find . -name __pycache__ -type d -exec rm -rf {} +
 
 clean-cache:

@@ -14,9 +14,9 @@ Commands:
   under a fixed seed (docs/loadsim.md).
 * ``report --timeseries [BENCHMARK ...]`` -- sparkline phase report
   across benchmarks (docs/observability.md).
-* ``report --bench`` -- tabulate the committed BENCH_PR*.json
-  performance baselines (replay substrate, workload store, array
-  kernel).
+* ``report --bench`` -- tabulate the committed ``BENCH.json`` bench
+  baseline (replay kernels, telemetry, workload store, patterns, load
+  simulator).
 * ``profile BENCHMARK`` -- reuse-distance profile of a workload.
 * ``cache`` -- inspect or prune the compiled workload store
   (``--footprint`` / ``--evict`` / ``--clear``).
@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from repro import __version__
 from repro.cache import CacheGeometry
@@ -243,19 +244,27 @@ def _cmd_telemetry(args) -> int:
     return 0
 
 
-def _render_substrate(s) -> str:
+def _render_kernel(what: str):
+    def render(s) -> str:
+        return (
+            f"{s['object_acc_per_sec'] / 1e6:.2f}M/s -> "
+            f"{s['array_acc_per_sec'] / 1e6:.2f}M/s "
+            f"({s['speedup']:.2f}x over the object kernel {what}, "
+            f"{s['accesses']} accesses)"
+        )
+    return render
+
+
+def _render_telemetry(s) -> str:
     return (
-        "    replay substrate: "
-        f"{s['before_acc_per_sec'] / 1e6:.2f}M/s -> "
-        f"{s['after_acc_per_sec'] / 1e6:.2f}M/s "
-        f"({s['speedup']:.2f}x over the pre-PR1 engine, "
-        f"{s['accesses']} accesses)"
+        f"probes-off {s['off_acc_per_sec'] / 1e6:.2f}M/s, "
+        f"probe-on {s['on_acc_per_sec'] / 1e6:.2f}M/s "
+        f"({s['on_overhead']:+.1%} recorder overhead, object kernel)"
     )
 
 
 def _render_store(s) -> str:
     return (
-        "    workload store:   "
         f"cold {s['cold_seconds']:.2f}s, "
         f"warm {s['warm_speedup']:.1f}x, "
         f"shm {s['shm_speedup']:.1f}x "
@@ -263,33 +272,8 @@ def _render_store(s) -> str:
     )
 
 
-def _render_array_kernel(s) -> str:
-    speedup = s.get("speedup")
-    shown = "n/a" if speedup is None else f"{speedup:.2f}x"
-    return (
-        "    array kernel:     "
-        f"{s['object_acc_per_sec'] / 1e6:.2f}M/s -> "
-        f"{s['array_acc_per_sec'] / 1e6:.2f}M/s "
-        f"({shown} over the object kernel on eligible cells, "
-        f"{s['accesses']} accesses)"
-    )
-
-
-def _render_sampler_kernel(s) -> str:
-    speedup = s.get("speedup")
-    shown = "n/a" if speedup is None else f"{speedup:.2f}x"
-    return (
-        "    sampler kernel:   "
-        f"{s['object_acc_per_sec'] / 1e6:.2f}M/s -> "
-        f"{s['array_acc_per_sec'] / 1e6:.2f}M/s "
-        f"({shown} over the object kernel on the DBRB cells, "
-        f"{s['accesses']} accesses)"
-    )
-
-
 def _render_patterns(s) -> str:
     return (
-        "    pattern workloads: "
         f"generate {s['generate_rec_per_sec'] / 1e6:.2f}M rec/s, "
         f"trace import {s['import_rec_per_sec'] / 1e6:.2f}M rec/s, "
         f"replay {s['replay_rec_per_sec'] / 1e6:.2f}M rec/s "
@@ -299,7 +283,6 @@ def _render_patterns(s) -> str:
 
 def _render_loadsim_bench(s) -> str:
     return (
-        "    load simulator:   "
         f"{s['events_per_sec'] / 1e3:.1f}k events/s "
         f"({s['events']} events, {s['requests']} requests; "
         f"p99 {s['p99_latency']:.0f}cy, "
@@ -307,64 +290,39 @@ def _render_loadsim_bench(s) -> str:
     )
 
 
-#: BENCH_PR*.json section -> renderer for ``report --bench``.
-_BENCH_SECTIONS = (
-    ("substrate", _render_substrate),
-    ("store", _render_store),
-    ("array_kernel", _render_array_kernel),
-    ("sampler_kernel", _render_sampler_kernel),
-    ("patterns", _render_patterns),
-    ("loadsim", _render_loadsim_bench),
-)
+#: BENCH.json section -> renderer of its ``total`` for ``report --bench``.
+_BENCH_SECTIONS = {
+    "array_kernel": _render_kernel("on eligible cells"),
+    "sampler_kernel": _render_kernel("on the sampler cells"),
+    "dbrb_kernel": _render_kernel("on the Figure 6 + TDBP cells"),
+    "telemetry": _render_telemetry,
+    "store": _render_store,
+    "patterns": _render_patterns,
+    "loadsim": _render_loadsim_bench,
+}
+
+#: The committed bench baseline (``make bench`` writes it).
+BENCH_REPORT = Path(__file__).resolve().parents[2] / "BENCH.json"
 
 
-def _render_bench_baselines() -> int:
-    """Tabulate the committed BENCH_PR*.json baselines (repo root).
-
-    Baselines accrue one file per PR and old files never grow new
-    sections, so missing sections are normal; a *partial* section
-    (present but lacking expected fields -- e.g. a baseline written by
-    an older bench harness) is skipped with a note instead of crashing
-    the whole report.
-    """
+def _render_bench_report() -> int:
+    """Tabulate the committed bench baseline, one line per section."""
     import json
-    from pathlib import Path
 
-    root = Path(__file__).resolve().parents[2]
-    paths = sorted(root.glob("BENCH_PR*.json"))
-    if not paths:
-        print(f"no BENCH_PR*.json baselines under {root}")
-        return 1
-    print(f"bench baselines ({root}):")
-    for path in paths:
-        try:
-            report = json.loads(path.read_text())
-        except (OSError, ValueError) as exc:
-            print(f"  {path.name:16s} unreadable: {exc}")
-            continue
-        if not isinstance(report, dict):
-            print(f"  {path.name:16s} not a bench report object; skipped")
-            continue
-        config = report.get("config") or {}
-        if not isinstance(config, dict):
-            config = {}
+    if not BENCH_REPORT.exists():
         print(
-            f"  {path.name:16s} {report.get('schema', '?'):22s} "
-            f"scale=1/{config.get('scale', '?')} "
-            f"instructions={config.get('instructions', '?')}"
+            f"no bench report at {BENCH_REPORT}; "
+            "run `make bench` to write one"
         )
-        for key, render in _BENCH_SECTIONS:
-            section = report.get(key)
-            total = section.get("total") if isinstance(section, dict) else None
-            if not isinstance(total, dict):
-                continue
-            try:
-                print(render(total))
-            except (KeyError, TypeError, ValueError) as exc:
-                print(
-                    f"    {key}: partial section in {path.name} "
-                    f"({exc.__class__.__name__}: {exc}); skipped"
-                )
+        return 1
+    report = json.loads(BENCH_REPORT.read_text())
+    config = report["config"]
+    print(
+        f"{BENCH_REPORT.name} ({report['schema']}, "
+        f"scale=1/{config['scale']}, instructions={config['instructions']}):"
+    )
+    for key, render in _BENCH_SECTIONS.items():
+        print(f"  {key:15s} {render(report[key]['total'])}")
     return 0
 
 
@@ -481,7 +439,7 @@ def _cmd_report(args) -> int:
     from repro.telemetry import render_report
 
     if args.bench:
-        return _render_bench_baselines()
+        return _render_bench_report()
     if args.pattern_sweep:
         return _cmd_pattern_sweep(args)
     if not args.timeseries:
@@ -937,7 +895,7 @@ def main(argv=None) -> int:
     )
     report_parser.add_argument(
         "--bench", action="store_true",
-        help="tabulate the committed BENCH_PR*.json performance baselines",
+        help="tabulate the committed BENCH.json bench baseline",
     )
     report_parser.add_argument(
         "--pattern-sweep", action="store_true",

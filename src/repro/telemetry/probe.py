@@ -15,7 +15,7 @@ Design constraints, in priority order:
 2. **Probes-off is free**: the default :data:`NULL_PROBE` is checked once
    per *replay*, not once per access -- the fast path of
    :func:`repro.sim.replay.replay` is byte-for-byte the code that runs
-   without telemetry (``make bench-smoke`` guards the throughput).
+   without telemetry (perfbench's probes-off ``wall_s`` tracks the cost).
 3. **Pull, not push**: instead of per-event callbacks, the
    :class:`IntervalRecorder` reads cumulative counters
    (:class:`~repro.cache.stats.CacheStats`, the accuracy observer, and

@@ -1,7 +1,10 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
+import repro.__main__ as cli
 from repro.__main__ import main
 
 
@@ -54,3 +57,27 @@ class TestCLI:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestReportBench:
+    def test_one_line_per_section_of_the_committed_report(self, capsys):
+        report = json.loads(cli.BENCH_REPORT.read_text())
+        sections = [
+            key for key, value in report.items()
+            if isinstance(value, dict) and "total" in value
+        ]
+        assert sections
+        assert main(["report", "--bench"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"BENCH.json ({report['schema']}")
+        for key in sections:
+            assert sum(line.startswith(f"  {key} ") for line in lines) == 1, key
+        assert len(lines) == 1 + len(sections)
+
+    def test_missing_report_exits_1(self, capsys, monkeypatch, tmp_path):
+        missing = tmp_path / "BENCH.json"
+        monkeypatch.setattr(cli, "BENCH_REPORT", missing)
+        assert main(["report", "--bench"]) == 1
+        out = capsys.readouterr().out
+        assert f"no bench report at {missing}" in out
+        assert "make bench" in out

@@ -16,7 +16,8 @@ count, so no cell falls back for ``small-stream``):
 * **Coverage.**  Every Figure 6 cell and every ``tdbp`` cell must replay
   on the array kernel (``RunResult.kernel == "array"``), so an
   eligibility regression fails tier-1 instead of silently slowing the
-  sweep.
+  sweep.  Every registry technique run single-core must take the array
+  kernel exactly when its ``array_eligible`` flag says so.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.harness.experiments import (
     single_thread_comparison,
 )
 from repro.harness.runner import ExperimentConfig, WorkloadCache
+from repro.harness.techniques import TECHNIQUES
 from repro.sim.system import SingleCoreSystem
 
 CONFIG = ExperimentConfig(scale=32, instructions=12_000, seed=1)
@@ -134,3 +136,21 @@ def test_fig6_and_tdbp_cells_replay_array_native(cells):
         if result.kernel != "array"
     }
     assert not declined, f"cells fell back to the object kernel: {declined}"
+
+
+def test_array_eligible_flags_match_the_kernel_each_technique_runs():
+    """``Technique.array_eligible`` (read by the bench's fallback probe)
+    must say which kernel a single-core cell of that technique takes."""
+    keys = [key for key in TECHNIQUES if key != "lru"]  # lru is the baseline
+    comparison = single_thread_comparison(WorkloadCache(CONFIG), keys, BENCHMARKS)
+    wrong = {}
+    for benchmark in BENCHMARKS:
+        runs = dict(comparison.results[benchmark], lru=comparison.baseline[benchmark])
+        for key, result in runs.items():
+            if TECHNIQUES[key].array_eligible:
+                ok = result.kernel == "array"
+            else:
+                ok = result.kernel == "object" and bool(result.kernel_fallback)
+            if not ok:
+                wrong[f"{benchmark}/{key}"] = (result.kernel, result.kernel_fallback)
+    assert not wrong, f"array_eligible disagrees with the kernel that ran: {wrong}"

@@ -5,7 +5,9 @@ The subsystem's contract (docs/loadsim.md): a run is a pure function of
 pins that byte-for-byte -- identical inputs give identical event-log
 digests and latency series, distinct seeds give distinct logs -- and a
 golden test with metronome (``uniform``) arrivals pins the nearest-rank
-latency percentiles of a fixed scenario to exact values.
+latency percentiles of a fixed scenario to exact values.  The bench's
+stochastic two-tenant scenario is pinned to its event-log digest, event
+count, and percentiles.
 """
 
 from __future__ import annotations
@@ -281,6 +283,32 @@ class TestGoldenScenario:
             golden_result("lru").event_log_digest()
             == golden_result("sampler").event_log_digest()
         )
+
+
+def test_bench_scenario_is_pinned():
+    """The fixed scenario of the bench's ``loadsim`` section, whose
+    digest ``BENCH.json`` also records: skewed Zipf under Poisson
+    arrivals next to mcf under MMPP bursts, through sampler-driven DBRB.
+    A change to arrivals, service times, the replay, or the event
+    ordering moves these values."""
+    config = ExperimentConfig(scale=32, instructions=20_000, seed=1, num_cores=2)
+    scenario = LoadScenario(
+        tenants=(
+            TenantSpec(workload="zipf(a=1.2)", arrival="poisson(rate=0.3)"),
+            TenantSpec(workload="mcf", arrival="bursty(rate=0.2,burst=6)"),
+        ),
+        duration=2_000_000.0,
+        seed=11,
+        epochs=8,
+    )
+    result = prepare_scenario(WorkloadCache(config), scenario).run("sampler")
+    assert result.event_log_digest() == (
+        "77a92c4c4ae64deeff1ef1cf4891301eca56eebd4fb1ea9d6cc733a4852e9355"
+    )
+    assert len(result.events) == 2748
+    assert result.p50 == 254454.55815487215
+    assert result.p95 == 327892.25006612507
+    assert result.p99 == 339532.0400283297
 
 
 # ----------------------------------------------------------------------
