@@ -18,8 +18,11 @@ around it.  This module supplies the pieces
   with exponential backoff between rounds, then graceful degradation to
   serial in-process execution of whatever still fails, and only then a
   partial result or :class:`SweepAborted`;
-* a deterministic fault-injection hook (``REPRO_FAULT_INJECT``) used by
-  the tests to kill, stall, or fault workers on demand.
+* :func:`run_cells_serially` -- the in-process loop, shared by ``jobs=1``
+  sweeps and graceful degradation, so a raising cell fails the same way
+  at every job count;
+* the chaos grammar (``REPRO_CHAOS``, :class:`ChaosSpec`): deterministic
+  faults injected into pool workers, fleet workers, and the server.
 
 Per-cell timeouts are enforced *inside* the worker with ``SIGALRM``
 (each worker is a separate process, so its main thread can take the
@@ -30,25 +33,25 @@ uninterrupted serial run because cells are pure functions of
 ``(config, seed, benchmark, technique)`` -- supervision decides only
 *whether* a cell's result was obtained, never *what* it is.
 
-Fault injection syntax: ``REPRO_FAULT_INJECT=crash:0.1,hang:0.05``.
-Modes: ``crash`` (the worker calls ``os._exit``), ``hang`` (the worker
-sleeps until its deadline), ``raise`` (the worker raises a transient
-exception).  Whether a given (cell, attempt) pair faults is a pure hash
-of the mode, cell identity, and attempt number, so injected failure
-patterns are reproducible and retries can deterministically succeed.
+Chaos syntax: ``REPRO_CHAOS=kill:0.1,hang:0.05@2,slow:0.2,blob:1``, one
+``mode[:probability][@max_attempt]`` entry per mode; a bare mode fires
+with probability 1, and ``@N`` limits it to attempts ``<= N``.  Whether
+a mode fires is a pure sha256 draw over (mode, identity, attempt), so
+fault patterns are reproducible and retries redraw.  Attempts count
+from 1 in pool rounds and fleet dispatches alike.
 
-The fleet dispatch path (docs/service.md) has its own chaos harness,
-``REPRO_CHAOS``, extending the same deterministic-draw idea across the
-service: ``REPRO_CHAOS=kill:1@1,heartbeat:0.5,slow:0.2,blob:1``.
-Modes: ``kill`` (a fleet worker ``os._exit``\\ s before executing a
-leased cell), ``heartbeat`` (the worker silently skips heartbeat
-sends), ``slow`` (the worker stalls past its lease TTL before a cell,
-forcing expiry and split-brain re-dispatch while still computing), and
-``blob`` (the *server* truncates a stream-blob transfer so the client
-exercises torn-transfer detection).  Each mode takes an optional
-``@N`` attempt cap: ``kill:1@1`` fires only on a cell's first dispatch
-attempt, so the re-dispatch deterministically survives.  See
-:class:`ChaosSpec`.
+========== ==================== ==========================================
+mode       acts in              effect
+========== ==================== ==========================================
+kill       pool / fleet worker  exits with :data:`KILL_EXIT_CODE` before
+                                the cell, reporting nothing
+hang       pool / fleet worker  sleeps until the cell deadline or lease
+                                expiry takes over
+raise      pool / fleet worker  raises a transient error for the cell
+slow       fleet worker         stalls past the lease TTL, then finishes
+heartbeat  fleet worker         silently skips a heartbeat renewal
+blob       server               truncates a stream-blob transfer
+========== ==================== ==========================================
 """
 
 from __future__ import annotations
@@ -69,12 +72,13 @@ __all__ = [
     "ChaosRule",
     "ChaosSpec",
     "FaultPolicy",
+    "KILL_EXIT_CODE",
     "SweepAborted",
     "cell_label",
     "drain_cleanup_hooks",
     "maybe_inject_fault",
     "parse_chaos_spec",
-    "parse_fault_spec",
+    "run_cells_serially",
     "run_cells_supervised",
 ]
 
@@ -237,84 +241,13 @@ class FaultPolicy:
 
 
 # ----------------------------------------------------------------------
-# deterministic fault injection (test hook)
+# the chaos grammar (REPRO_CHAOS)
 # ----------------------------------------------------------------------
-_FAULT_MODES = ("crash", "hang", "raise")
+_CHAOS_MODES = ("kill", "hang", "raise", "slow", "heartbeat", "blob")
 
-
-def parse_fault_spec(text: Optional[str]) -> Dict[str, float]:
-    """Parse ``"crash:0.1,hang:0.05"`` into ``{mode: probability}``.
-
-    Raises ValueError on unknown modes or probabilities outside [0, 1].
-    """
-    spec: Dict[str, float] = {}
-    if not text or not text.strip():
-        return spec
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        mode, _, prob_text = part.partition(":")
-        mode = mode.strip()
-        if mode not in _FAULT_MODES:
-            raise ValueError(
-                f"unknown fault mode {mode!r} "
-                f"(valid: {', '.join(_FAULT_MODES)})"
-            )
-        try:
-            probability = float(prob_text) if prob_text.strip() else 1.0
-        except ValueError:
-            raise ValueError(
-                f"bad fault probability {prob_text!r} for mode {mode!r}"
-            ) from None
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(
-                f"fault probability must be in [0, 1], got {probability}"
-            )
-        spec[mode] = probability
-    return spec
-
-
-def _fault_roll(mode: str, benchmark: str, technique_key: Optional[str], attempt: int) -> float:
-    """Deterministic pseudo-uniform draw in [0, 1) for one (cell, attempt)."""
-    text = f"{mode}|{benchmark}|{technique_key}|{attempt}"
-    digest = hashlib.sha256(text.encode("ascii")).digest()
-    return int.from_bytes(digest[:8], "big") / 2.0 ** 64
-
-
-def maybe_inject_fault(
-    benchmark: str,
-    technique_key: Optional[str],
-    attempt: int,
-    spec: Optional[Dict[str, float]] = None,
-) -> None:
-    """Test hook: fault this worker according to ``REPRO_FAULT_INJECT``.
-
-    Called only from the *parallel worker* wrapper, never from serial or
-    degraded in-process execution, so ``crash`` cannot take down the
-    parent.  Whether a fault fires is a pure function of (mode, cell,
-    attempt): re-running the same attempt reproduces the fault, while a
-    retry (higher attempt number) redraws.
-    """
-    if spec is None:
-        spec = parse_fault_spec(os.environ.get("REPRO_FAULT_INJECT"))
-    if not spec:
-        return
-    if _fault_roll("crash", benchmark, technique_key, attempt) < spec.get("crash", 0.0):
-        os._exit(66)  # simulate an OOM kill: no exception, no cleanup
-    if _fault_roll("hang", benchmark, technique_key, attempt) < spec.get("hang", 0.0):
-        time.sleep(3600.0)  # wedge until the cell deadline / watchdog fires
-    if _fault_roll("raise", benchmark, technique_key, attempt) < spec.get("raise", 0.0):
-        raise RuntimeError(
-            f"injected transient fault ({cell_label((benchmark, technique_key))}, "
-            f"attempt {attempt})"
-        )
-
-
-# ----------------------------------------------------------------------
-# fleet chaos harness (REPRO_CHAOS)
-# ----------------------------------------------------------------------
-_CHAOS_MODES = ("kill", "heartbeat", "slow", "blob")
+#: Exit status of a process that ``kill`` chaos took down: a pool worker
+#: or a fleet worker dying mid-cell without reporting (an OOM kill).
+KILL_EXIT_CODE = 67
 
 
 @dataclass(frozen=True)
@@ -322,9 +255,9 @@ class ChaosRule:
     """One chaos mode's firing rule.
 
     ``probability`` is the per-draw chance; ``max_attempt`` (when set)
-    limits firing to dispatch attempts ``<= max_attempt``, which is how
-    ``kill:1@1`` kills a worker on a cell's first dispatch while the
-    re-dispatched attempt deterministically survives.
+    limits firing to attempts ``<= max_attempt``, which is how
+    ``kill:1@1`` kills a cell's first attempt while the retry or
+    re-dispatch deterministically survives.
     """
 
     probability: float
@@ -383,11 +316,10 @@ def parse_chaos_spec(text: Optional[str]) -> Dict[str, ChaosRule]:
 class ChaosSpec:
     """The parsed ``REPRO_CHAOS`` harness for one process.
 
-    Firing is a pure function of ``(mode, identity, attempt)`` -- the
-    same sha256 draw scheme as ``REPRO_FAULT_INJECT`` -- so a chaos run
-    is exactly reproducible: the same worker processing the same cell
-    on the same dispatch attempt always makes the same draw, while a
-    re-dispatch (higher attempt) redraws.
+    Firing is a pure function of ``(mode, identity, attempt)`` -- a
+    sha256 draw -- so a chaos run is exactly reproducible: the same
+    process running the same cell on the same attempt always makes the
+    same draw, while a retry or re-dispatch (higher attempt) redraws.
     """
 
     rules: Tuple[Tuple[str, ChaosRule], ...] = ()
@@ -417,6 +349,34 @@ class ChaosSpec:
         digest = hashlib.sha256(text.encode("utf-8")).digest()
         draw = int.from_bytes(digest[:8], "big") / 2.0 ** 64
         return draw < rule.probability
+
+
+def maybe_inject_fault(
+    cell: Cell, attempt: int, spec: Optional[ChaosSpec] = None
+) -> None:
+    """Fault the process about to run ``cell`` per its chaos spec.
+
+    ``spec`` defaults to ``REPRO_CHAOS``.  ``kill`` exits the process
+    with :data:`KILL_EXIT_CODE` (no exception, no cleanup), ``hang``
+    sleeps until the cell deadline or lease expiry takes over, and
+    ``raise`` raises a transient error.  Called by pool workers and
+    fleet workers only, never by in-process execution, so ``kill``
+    cannot take down a sweep's parent.  Draws are keyed by the cell
+    label, and attempts count from 1 in both executors.
+    """
+    if spec is None:
+        spec = ChaosSpec.from_env()
+    if not spec:
+        return
+    label = cell_label(cell)
+    if spec.fires("kill", label, attempt):
+        os._exit(KILL_EXIT_CODE)
+    if spec.fires("hang", label, attempt):
+        time.sleep(3600.0)
+    if spec.fires("raise", label, attempt):
+        raise RuntimeError(
+            f"injected transient fault ({label}, attempt {attempt})"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -494,13 +454,86 @@ def drain_cleanup_hooks(
 # ----------------------------------------------------------------------
 # the supervision loop
 # ----------------------------------------------------------------------
+#: Per-cell timing record: wall/CPU seconds, store hits and misses, and
+#: the replay kernel (plus its fallback reason) -- measured around the
+#: cell wherever it ran; it feeds sweep events and run manifests.
+Timing = Dict[str, object]
+
 #: Wire format a supervised worker returns:
 #: (benchmark, technique_key, status, payload, timing) with status "ok"
-#: carrying the cell result, "timeout"/"error" carrying a diagnostic
-#: string.  ``timing`` is ``{"wall_seconds": ..., "cpu_seconds": ...}``
-#: measured inside the worker (None when the cell never ran to a
-#: measurable end); it feeds the sweep's events and run manifest.
-WireResult = Tuple[str, Optional[str], str, object, Optional[Dict[str, float]]]
+#: carrying the cell result and its :data:`Timing`, "timeout"/"error" a
+#: diagnostic string and no timing.
+WireResult = Tuple[str, Optional[str], str, object, Optional[Timing]]
+
+#: The in-process executor: runs one cell, returns (result, timing).
+CellRunner = Callable[[Cell], Tuple[object, Timing]]
+
+#: ``on_success(cell, result, timing)``, once per completed cell.
+SuccessHook = Callable[[Cell, object, Optional[Timing]], None]
+
+
+def _no_event(kind: str, cell: Optional[Cell], **payload) -> None:
+    """The ``on_event`` stand-in when the caller passes none."""
+
+
+def _run_in_process(
+    run: CellRunner,
+    cells: Sequence[Cell],
+    on_success: SuccessHook,
+    emit: Callable[..., None],
+    attempts: int,
+) -> Dict[Cell, CellError]:
+    """Run ``cells`` one after another in this process; a raising cell
+    becomes a :class:`CellCrashed` and the loop moves on."""
+    failures: Dict[Cell, CellError] = {}
+    for cell in cells:
+        emit("started", cell)
+        try:
+            payload, timing = run(cell)
+        except Exception as exc:
+            failures[cell] = CellCrashed(
+                cell[0], cell[1], attempts=attempts,
+                detail=f"{type(exc).__name__}: {exc}",
+            )
+        else:
+            on_success(cell, payload, timing)
+            emit("finished", cell, status="ok", timing=timing)
+    return failures
+
+
+def _settle(
+    cells: Sequence[Cell],
+    failures: Dict[Cell, CellError],
+    policy: FaultPolicy,
+    emit: Callable[..., None],
+) -> List[CellError]:
+    """Report what is still failed; raise unless partial results are allowed."""
+    unrecovered = [failures[cell] for cell in cells if cell in failures]
+    for failure in unrecovered:
+        emit("finished", failure.cell, status="failed", timing=None)
+    if unrecovered and not policy.allow_partial:
+        raise SweepAborted(unrecovered, completed=len(cells) - len(unrecovered))
+    return unrecovered
+
+
+def run_cells_serially(
+    run: CellRunner,
+    cells: Sequence[Cell],
+    policy: FaultPolicy,
+    on_success: SuccessHook,
+    on_event: Optional[Callable[..., None]] = None,
+) -> List[CellError]:
+    """Drive ``cells`` through ``run`` in this process, one attempt each.
+
+    The same loop graceful degradation uses, with the same outcome
+    rules as :func:`run_cells_supervised`: a raising cell is a
+    :class:`CellCrashed`, and failures are returned or raised as
+    :class:`SweepAborted` according to ``policy.allow_partial``.  No
+    chaos is injected here.
+    """
+    emit = on_event or _no_event
+    failures = _run_in_process(run, cells, on_success, emit, attempts=1)
+    return _settle(cells, failures, policy, emit)
 
 
 def run_cells_supervised(
@@ -508,8 +541,8 @@ def run_cells_supervised(
     worker: Callable[..., WireResult],
     cells: Sequence[Cell],
     policy: FaultPolicy,
-    on_success: Callable[[Cell, object], None],
-    serial_fallback: Optional[Callable[[Cell], object]] = None,
+    on_success: SuccessHook,
+    serial_fallback: Optional[CellRunner] = None,
     on_event: Optional[Callable[..., None]] = None,
     cleanup: Union[Callable[[], None], Sequence[Callable[[], None]], None] = None,
 ) -> List[CellError]:
@@ -521,30 +554,30 @@ def run_cells_supervised(
             reused).
         worker: picklable task function taking
             ``(benchmark, technique_key, attempt, cell_timeout)`` and
-            returning a :data:`WireResult`.  It must convert its own
-            exceptions and deadline overruns into non-"ok" statuses;
-            only a hard worker death leaves a cell unreported.
+            returning a :data:`WireResult`; attempts count from 1.  It
+            must convert its own exceptions and deadline overruns into
+            non-"ok" statuses; only a hard worker death leaves a cell
+            unreported.
         cells: the work list, in deterministic order.
         policy: timeout / retry / degradation knobs.
-        on_success: called once per completed cell, in completion order
-            (checkpoint persistence hooks in here).
-        serial_fallback: in-process executor for graceful degradation;
-            ``None`` disables degradation regardless of the policy.
-        on_event: optional progress callback ``(kind, cell_label,
-            **payload)`` -- see
+        on_success: called once per completed cell, in completion order,
+            with the cell, its result, and its timing (checkpoint
+            persistence hooks in here).
+        serial_fallback: in-process executor for graceful degradation,
+            returning ``(result, timing)``; ``None`` disables
+            degradation regardless of the policy.
+        on_event: optional progress callback ``(kind, cell, **payload)``
+            where ``cell`` is the cell tuple (``None`` for sweep-level
+            kinds) -- see
             :meth:`repro.telemetry.events.SweepTelemetry.on_event` for
             the kinds.  Purely observational: a raising callback is a
             caller bug, not a supervised fault.
         cleanup: a hook -- or a sequence of hooks, registered in
             acquisition order -- run exactly once when supervision ends,
             however it ends: success, partial failure,
-            :class:`SweepAborted`, or an unexpected exception.  Resource
-            owners (the shared-memory workload export, most importantly)
-            hook their teardown here so a crashed or timed-out sweep can
-            never leak segments.  Hooks drain in LIFO order via
-            :func:`drain_cleanup_hooks`; a hook that raises is reported
-            and the remaining hooks still run, so one broken hook cannot
-            skip a later shm unlink.
+            :class:`SweepAborted`, or an unexpected exception.  Hooks
+            drain in LIFO order via :func:`drain_cleanup_hooks`; a hook
+            that raises is reported and the remaining hooks still run.
 
     Returns the list of unrecovered failures, in work-list order; empty
     on full success.  Raises :class:`SweepAborted` when failures remain
@@ -553,7 +586,7 @@ def run_cells_supervised(
     try:
         return _run_cells_supervised(
             make_pool, worker, cells, policy, on_success,
-            serial_fallback, on_event,
+            serial_fallback, on_event or _no_event,
         )
     finally:
         if cleanup is not None:
@@ -566,32 +599,27 @@ def _run_cells_supervised(
     worker: Callable[..., WireResult],
     cells: Sequence[Cell],
     policy: FaultPolicy,
-    on_success: Callable[[Cell, object], None],
-    serial_fallback: Optional[Callable[[Cell], object]] = None,
-    on_event: Optional[Callable[..., None]] = None,
+    on_success: SuccessHook,
+    serial_fallback: Optional[CellRunner],
+    emit: Callable[..., None],
 ) -> List[CellError]:
     pending: List[Cell] = list(cells)
-    completed = 0
     failures: Dict[Cell, CellError] = {}
     watchdog = policy.effective_watchdog()
 
-    def emit(kind: str, cell: Optional[Cell], **payload) -> None:
-        if on_event is not None:
-            on_event(kind, cell_label(cell) if cell is not None else "", **payload)
-
-    for attempt in range(policy.max_retries + 1):
+    for attempt in range(1, policy.max_retries + 2):
         if not pending:
             break
-        if attempt:
+        if attempt > 1:
             for cell in pending:
                 prior = failures.get(cell)
                 emit(
                     "retried", cell,
                     reason=prior.detail if prior is not None else "",
-                    attempt=attempt + 1,
+                    attempt=attempt,
                 )
             if policy.backoff > 0:
-                time.sleep(policy.backoff * 2.0 ** (attempt - 1))
+                time.sleep(policy.backoff * 2.0 ** (attempt - 2))
         tasks = [
             (benchmark, key, attempt, policy.cell_timeout)
             for benchmark, key in pending
@@ -617,12 +645,11 @@ def _run_cells_supervised(
                 if status == "ok":
                     pending.remove(cell)
                     failures.pop(cell, None)
-                    completed += 1
-                    on_success(cell, payload)
+                    on_success(cell, payload, timing)
                     emit("finished", cell, status="ok", timing=timing)
                 elif status == "timeout":
                     failures[cell] = CellTimeout(
-                        benchmark, key, attempts=attempt + 1, detail=str(payload)
+                        benchmark, key, attempts=attempt, detail=str(payload)
                     )
                     emit(
                         "timed_out", cell,
@@ -630,7 +657,7 @@ def _run_cells_supervised(
                     )
                 else:
                     failures[cell] = CellCrashed(
-                        benchmark, key, attempts=attempt + 1, detail=str(payload)
+                        benchmark, key, attempts=attempt, detail=str(payload)
                     )
         finally:
             # terminate(), not close(): a wedged round must not block the
@@ -641,9 +668,9 @@ def _run_cells_supervised(
         # a cell that reported a failure this round keeps that record.
         for cell in pending:
             existing = failures.get(cell)
-            if existing is None or existing.attempts <= attempt:
+            if existing is None or existing.attempts < attempt:
                 failures[cell] = CellCrashed(
-                    cell[0], cell[1], attempts=attempt + 1,
+                    cell[0], cell[1], attempts=attempt,
                     detail="worker died without reporting",
                 )
 
@@ -655,34 +682,9 @@ def _run_cells_supervised(
             reason=f"{len(pending)} cell(s) failed in parallel; "
             "re-running serially in the parent",
         )
-        for cell in list(pending):
-            emit("started", cell)
-            wall_start = time.perf_counter()
-            cpu_start = time.process_time()
-            try:
-                payload = serial_fallback(cell)
-            except Exception as exc:
-                failures[cell] = CellCrashed(
-                    cell[0], cell[1],
-                    attempts=policy.max_retries + 2,
-                    detail=f"serial fallback failed: {type(exc).__name__}: {exc}",
-                )
-            else:
-                pending.remove(cell)
-                failures.pop(cell, None)
-                completed += 1
-                on_success(cell, payload)
-                emit(
-                    "finished", cell, status="ok",
-                    timing={
-                        "wall_seconds": time.perf_counter() - wall_start,
-                        "cpu_seconds": time.process_time() - cpu_start,
-                    },
-                )
+        failures = _run_in_process(
+            serial_fallback, pending, on_success, emit,
+            attempts=policy.max_retries + 2,
+        )
 
-    unrecovered = [failures[cell] for cell in cells if cell in failures]
-    for failure in unrecovered:
-        emit("finished", failure.cell, status="failed", timing=None)
-    if unrecovered and not policy.allow_partial:
-        raise SweepAborted(unrecovered, completed=completed)
-    return unrecovered
+    return _settle(cells, failures, policy, emit)

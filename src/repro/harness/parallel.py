@@ -3,8 +3,11 @@
 The single-thread comparisons behind Figures 4/5 and 7/8 are
 embarrassingly parallel: every (benchmark, technique) cell replays its
 own LLC stream on its own cache, and cells only meet again at reporting
-time.  This module fans those cells over a :mod:`multiprocessing` pool
-and supervises them:
+time.  :func:`run_cells` is the one local executor for such cells --
+in-process for one job, a supervised :mod:`multiprocessing` pool for
+more -- shared by :func:`parallel_single_thread_comparison` and the
+experiment service's batches, and :func:`timed_cell` is the one way a
+cell runs and is measured.  On top of it the sweep adds:
 
 * each completed cell is persisted to an optional
   :class:`~repro.harness.checkpoint.CheckpointStore` the moment it
@@ -64,17 +67,21 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.harness.checkpoint import CheckpointStore
 from repro.harness.experiments import SingleThreadComparison
 from repro.harness.faults import (
     Cell,
+    CellError,
     FaultPolicy,
+    SuccessHook,
+    Timing,
     cell_deadline,
     cell_label,
     DeadlineExceeded,
     maybe_inject_fault,
+    run_cells_serially,
     run_cells_supervised,
 )
 from repro.harness.runner import ExperimentConfig, WorkloadCache
@@ -95,6 +102,8 @@ __all__ = [
     "make_cell_pool_factory",
     "parallel_single_thread_comparison",
     "resolve_jobs",
+    "run_cells",
+    "timed_cell",
 ]
 
 #: Sentinel technique key for the per-benchmark LRU baseline cell.
@@ -150,13 +159,10 @@ def make_cell_pool_factory(
     store_root: Optional[str] = None,
     stream_manifest: Optional[StreamManifest] = None,
 ):
-    """A zero-argument factory building the supervised cell worker pool.
-
-    This is the single construction path for sweep pools -- explicit
-    ``"spawn"`` context, :func:`_init_worker` wiring the per-worker
-    workload cache to the store and/or shared-memory segments -- shared
-    by :func:`parallel_single_thread_comparison` and the experiment
-    service's scheduler, so both fan work out identically.
+    """A zero-argument factory building the supervised cell worker pool:
+    explicit ``"spawn"`` context, :func:`_init_worker` wiring the
+    per-worker workload cache to the store and/or shared-memory
+    segments.  :func:`run_cells` is its one caller.
     """
     context = multiprocessing.get_context("spawn")
 
@@ -173,10 +179,10 @@ def make_cell_pool_factory(
 def _run_cell_on(cache: WorkloadCache, cell: Cell) -> RunResult:
     """Run one (benchmark, technique) cell on the given workload cache.
 
-    ``technique_key=None`` is the LRU baseline cell.  This is the single
-    execution path every mode shares -- worker processes, the serial
-    in-process sweep, and the graceful-degradation fallback -- which is
-    what keeps them bit-identical.
+    ``technique_key=None`` is the LRU baseline cell.  Every executor --
+    pool workers, the in-process loop, graceful degradation, fleet
+    workers -- reaches it through :func:`timed_cell`, which is what keeps
+    them bit-identical.
     """
     benchmark, technique_key = cell
     filtered = cache.filtered(benchmark)
@@ -196,55 +202,50 @@ def _run_cell_on(cache: WorkloadCache, cell: Cell) -> RunResult:
     )
 
 
-def _run_cell(
-    task: Tuple[str, Optional[str]]
-) -> Tuple[str, Optional[str], RunResult]:
-    """Run one cell in a worker process (unsupervised; kept as the plain
-    building block).  The result is stripped of its cache and observers
-    before crossing the process boundary (policies hold unpicklable
-    state; sweeps only read stats, timing, and hit vectors).
+def timed_cell(cache: WorkloadCache, cell: Cell) -> Tuple[RunResult, Timing]:
+    """Run one cell and measure it where it runs.
+
+    The timing record is wall and CPU seconds, the workload-store hits
+    and misses the cell caused, and the replay ``kernel`` (with
+    ``kernel_fallback`` when the array path declined).  Pool workers,
+    the in-process loop, and fleet workers all report this one record.
     """
-    benchmark, technique_key = task
-    result = _run_cell_on(_WORKER_CACHE, (benchmark, technique_key))
-    result.cache = None
-    result.observers = ()
-    return benchmark, technique_key, result
+    wall_start = time.perf_counter()
+    cpu_start = time.process_time()
+    hits_start = cache.stream_hits
+    misses_start = cache.stream_misses
+    result = _run_cell_on(cache, cell)
+    timing: Timing = {
+        "wall_seconds": time.perf_counter() - wall_start,
+        "cpu_seconds": time.process_time() - cpu_start,
+        "store_hits": cache.stream_hits - hits_start,
+        "store_misses": cache.stream_misses - misses_start,
+    }
+    if result.kernel is not None:
+        timing["kernel"] = result.kernel
+    if result.kernel_fallback is not None:
+        timing["kernel_fallback"] = result.kernel_fallback
+    return result, timing
 
 
 def _run_cell_supervised(
     task: Tuple[str, Optional[str], int, Optional[float]]
-) -> Tuple[str, Optional[str], str, object, Optional[Dict[str, float]]]:
-    """Supervised worker entry: deadline, fault injection, and exception
-    capture around :func:`_run_cell`.
+) -> Tuple[str, Optional[str], str, object, Optional[Timing]]:
+    """Pool worker entry: deadline, chaos injection, and exception
+    capture around :func:`timed_cell`.
 
     Returns the :data:`~repro.harness.faults.WireResult` wire format;
     exceptions travel back as strings so any failure pickles cleanly.
-    Wall/CPU time is measured here, inside the worker, so the parent's
-    events and manifest carry real per-cell costs rather than
-    queue-inclusive latencies.
+    The result is stripped of its cache and observers before crossing
+    the process boundary (policies hold unpicklable state; sweeps only
+    read stats, timing, and hit vectors).
     """
     benchmark, technique_key, attempt, timeout = task
-    wall_start = time.perf_counter()
-    cpu_start = time.process_time()
-    hits_start = _WORKER_CACHE.stream_hits
-    misses_start = _WORKER_CACHE.stream_misses
+    cell = (benchmark, technique_key)
     try:
         with cell_deadline(timeout):
-            maybe_inject_fault(benchmark, technique_key, attempt)
-            _, _, result = _run_cell((benchmark, technique_key))
-        timing = {
-            "wall_seconds": time.perf_counter() - wall_start,
-            "cpu_seconds": time.process_time() - cpu_start,
-            "store_hits": _WORKER_CACHE.stream_hits - hits_start,
-            "store_misses": _WORKER_CACHE.stream_misses - misses_start,
-        }
-        kernel = getattr(result, "kernel", None)
-        if kernel is not None:
-            timing["kernel"] = kernel
-        fallback = getattr(result, "kernel_fallback", None)
-        if fallback is not None:
-            timing["kernel_fallback"] = fallback
-        return benchmark, technique_key, "ok", result, timing
+            maybe_inject_fault(cell, attempt)
+            result, timing = timed_cell(_WORKER_CACHE, cell)
     except DeadlineExceeded:
         return benchmark, technique_key, "timeout", f"exceeded {timeout}s", None
     except Exception as exc:
@@ -255,6 +256,74 @@ def _run_cell_supervised(
             f"{type(exc).__name__}: {exc}",
             None,
         )
+    result.cache = None
+    result.observers = ()
+    return benchmark, technique_key, "ok", result, timing
+
+
+def run_cells(
+    config: ExperimentConfig,
+    cells: Sequence[Cell],
+    *,
+    cache: Optional[WorkloadCache] = None,
+    jobs: int = 1,
+    streams: Optional[StreamStore] = None,
+    shared_memory: bool = False,
+    policy: FaultPolicy,
+    on_success: SuccessHook,
+    on_event: Optional[Callable[..., None]] = None,
+) -> List[CellError]:
+    """Run ``cells`` locally: the one executor behind CLI sweeps and the
+    service's batches.
+
+    ``jobs <= 1`` runs them in this process on ``cache`` (built from
+    ``config`` and ``streams`` when not given), through the same loop
+    graceful degradation uses.  ``jobs > 1`` fans them over a supervised
+    spawn pool of at most ``len(cells)`` workers; with a workload store
+    or ``shared_memory`` the parent first compiles or loads each workload
+    once, and workers load the blob from ``streams`` or attach zero-copy
+    to the shared-memory segments, which are unlinked however the run
+    ends.
+
+    ``on_success(cell, result, timing)`` runs once per completed cell
+    (timing per :func:`timed_cell`); ``on_event(kind, cell, **payload)``
+    sees the progress events of
+    :func:`~repro.harness.faults.run_cells_supervised`.  At every job
+    count a raising cell is a :class:`~repro.harness.faults.CellCrashed`,
+    and failures are returned, or raised as
+    :class:`~repro.harness.faults.SweepAborted` unless
+    ``policy.allow_partial``.
+    """
+    if cache is None:
+        cache = WorkloadCache(config, stream_store=streams)
+    jobs = min(jobs, len(cells))
+    if jobs <= 1:
+        return run_cells_serially(
+            lambda cell: timed_cell(cache, cell),
+            cells, policy, on_success, on_event,
+        )
+    store_root = os.fspath(streams.root) if streams is not None else None
+    stream_manifest = None
+    cleanup = []
+    if streams is not None or shared_memory:
+        compiled = {
+            benchmark: cache.compiled(benchmark)
+            for benchmark in dict.fromkeys(b for b, _ in cells)
+        }
+        if shared_memory:
+            export = SharedStreamExport.create(compiled)
+            cleanup.append(export.close)
+            stream_manifest = export.manifest()
+    return run_cells_supervised(
+        make_cell_pool_factory(config, jobs, store_root, stream_manifest),
+        _run_cell_supervised,
+        cells,
+        policy,
+        on_success,
+        serial_fallback=lambda cell: timed_cell(cache, cell),
+        on_event=on_event,
+        cleanup=cleanup,
+    )
 
 
 def _sweep_telemetry(
@@ -432,14 +501,17 @@ def parallel_single_thread_comparison(
         benchmark: {} for benchmark in benchmarks
     }
 
-    def record(cell: Cell, result: RunResult) -> None:
+    def place(cell: Cell, result: RunResult) -> None:
         benchmark, technique_key = cell
         if technique_key is _BASELINE:
             baseline[benchmark] = result
         else:
             results[benchmark][technique_key] = result
+
+    def record(cell: Cell, result: RunResult, timing: Optional[Timing]) -> None:
+        place(cell, result)
         if store is not None:
-            store.store(config, benchmark, technique_key, result)
+            store.store(config, cell[0], cell[1], result)
 
     # Resume: completed cells come off disk, not off the machine.
     to_run: List[Cell] = []
@@ -447,11 +519,7 @@ def parallel_single_thread_comparison(
     for cell in cells:
         loaded = store.load(config, *cell) if (resume and store) else None
         if loaded is not None:
-            benchmark, technique_key = cell
-            if technique_key is _BASELINE:
-                baseline[benchmark] = loaded
-            else:
-                results[benchmark][technique_key] = loaded
+            place(cell, loaded)
             resumed.append(cell)
         else:
             to_run.append(cell)
@@ -461,6 +529,7 @@ def parallel_single_thread_comparison(
         events_file, progress, manifest_path, store, command, config,
         technique_keys, benchmarks, effective_jobs,
     )
+    on_event = None
     if telemetry is not None:
         telemetry.sweep_started(
             len(cells), list(benchmarks), list(technique_keys), effective_jobs
@@ -470,117 +539,49 @@ def parallel_single_thread_comparison(
         if manifest is not None:
             manifest.write(manifest_file)
 
+        def on_event(kind: str, cell: Optional[Cell], **payload) -> None:
+            telemetry.on_event(
+                kind, cell_label(cell) if cell is not None else "", **payload
+            )
+
+    if workload_cache is None:
+        workload_cache = WorkloadCache(config, stream_store=streams)
+    use_shm = use_shm and effective_jobs > 1
+    hits_start = workload_cache.stream_hits
+    misses_start = workload_cache.stream_misses
     failures = ()
     sweep_status = "ok"
-    export: Optional[SharedStreamExport] = None
     try:
         if to_run:
-            if effective_jobs <= 1:
-                if workload_cache is None:
-                    workload_cache = WorkloadCache(config, stream_store=streams)
-                for cell in to_run:
-                    if telemetry is not None:
-                        telemetry.cell_started(cell_label(cell))
-                    wall_start = time.perf_counter()
-                    cpu_start = time.process_time()
-                    hits_start = workload_cache.stream_hits
-                    misses_start = workload_cache.stream_misses
-                    result = _run_cell_on(workload_cache, cell)
-                    record(cell, result)
-                    if telemetry is not None:
-                        timing = {
-                            "wall_seconds": time.perf_counter() - wall_start,
-                            "cpu_seconds": time.process_time() - cpu_start,
-                            "store_hits": workload_cache.stream_hits - hits_start,
-                            "store_misses": workload_cache.stream_misses - misses_start,
-                        }
-                        kernel = getattr(result, "kernel", None)
-                        if kernel is not None:
-                            timing["kernel"] = kernel
-                        fallback = getattr(result, "kernel_fallback", None)
-                        if fallback is not None:
-                            timing["kernel_fallback"] = fallback
-                        telemetry.cell_finished(cell_label(cell), "ok", timing=timing)
-                if manifest is not None and streams is not None:
-                    manifest.stream_store = {
-                        "root": os.fspath(streams.root),
-                        "shared_memory": False,
-                        "hits": workload_cache.stream_hits,
-                        "misses": workload_cache.stream_misses,
-                    }
-            else:
-                # Warm fan-out: the parent compiles or loads every
-                # workload exactly once; workers then load blobs from
-                # the store, or attach zero-copy to shared memory.
-                warm = streams is not None or use_shm
-                store_root = os.fspath(streams.root) if streams is not None else None
-                stream_manifest = None
-                if warm:
-                    if workload_cache is None:
-                        workload_cache = WorkloadCache(config, stream_store=streams)
-                    compile_start = time.perf_counter()
-                    hits_start = workload_cache.stream_hits
-                    misses_start = workload_cache.stream_misses
-                    compiled = {}
-                    for benchmark in dict.fromkeys(b for b, _ in to_run):
-                        compiled[benchmark] = workload_cache.compiled(benchmark)
-                    if use_shm:
-                        export = SharedStreamExport.create(compiled)
-                        stream_manifest = export.manifest()
-                    if manifest is not None:
-                        manifest.stream_store = {
-                            "root": store_root,
-                            "shared_memory": use_shm,
-                            "hits": workload_cache.stream_hits - hits_start,
-                            "misses": workload_cache.stream_misses - misses_start,
-                            "compile_seconds": time.perf_counter() - compile_start,
-                            "workloads": sorted(compiled),
-                        }
-
-                make_pool = make_cell_pool_factory(
-                    config, min(effective_jobs, len(to_run)),
-                    store_root, stream_manifest,
+            failures = tuple(
+                run_cells(
+                    config, to_run,
+                    cache=workload_cache,
+                    jobs=effective_jobs,
+                    streams=streams,
+                    shared_memory=use_shm,
+                    policy=policy,
+                    on_success=record,
+                    on_event=on_event,
                 )
-
-                fallback_cache = workload_cache
-
-                def serial_fallback(cell: Cell) -> RunResult:
-                    nonlocal fallback_cache
-                    if fallback_cache is None:
-                        fallback_cache = WorkloadCache(config, stream_store=streams)
-                    return _run_cell_on(fallback_cache, cell)
-
-                # Registered in acquisition order; run_cells_supervised
-                # drains them LIFO and tolerates a raising hook, so the
-                # shm unlink runs even if an earlier-registered hook
-                # breaks.
-                cleanup_hooks = []
-                if export is not None:
-                    cleanup_hooks.append(export.close)
-
-                failures = tuple(
-                    run_cells_supervised(
-                        make_pool,
-                        _run_cell_supervised,
-                        to_run,
-                        policy,
-                        on_success=record,
-                        serial_fallback=serial_fallback if policy.degrade_serially else None,
-                        on_event=telemetry.on_event if telemetry is not None else None,
-                        cleanup=cleanup_hooks,
-                    )
-                )
-                if failures:
-                    sweep_status = "partial"
+            )
+            if failures:
+                sweep_status = "partial"
     except BaseException:
         sweep_status = "aborted"
         raise
     finally:
-        if export is not None:
-            export.close()  # idempotent; covers failures before supervision
         if telemetry is not None:
             telemetry.sweep_finished(sweep_status)
             if manifest is not None:
+                if to_run and (streams is not None or use_shm):
+                    manifest.stream_store = {
+                        "root": os.fspath(streams.root) if streams is not None else None,
+                        "shared_memory": use_shm,
+                        "hits": workload_cache.stream_hits - hits_start,
+                        "misses": workload_cache.stream_misses - misses_start,
+                        "workloads": sorted({b for b, _ in to_run}),
+                    }
                 manifest.finalize(sweep_status, finished_at=time.time())
                 manifest.write(manifest_file)
             telemetry.close()

@@ -18,14 +18,12 @@ The scheduler owns three things:
   job simply attaches to it.  Either way the cell costs nothing extra;
   both kinds of hit are counted and surfaced in ``GET /v1/stats``.
 * the **dispatcher**: a daemon thread that drains the queue in batches
-  (all queued cells sharing one :class:`ExperimentConfig`) into the
-  supervised machinery of :mod:`repro.harness.faults` -- the same
-  ``spawn`` pools, per-cell deadlines, retries, watchdog, and graceful
-  serial degradation a CLI sweep gets, via the shared
-  :func:`repro.harness.parallel.make_cell_pool_factory`.  With a
-  compiled workload store / ``shared_memory=True`` the batch pre-compiles
-  each workload once and fans it out to workers exactly as PR 4's sweep
-  path does, so concurrent jobs over one benchmark never recompile.
+  (all queued cells sharing one :class:`ExperimentConfig`) into
+  :func:`repro.harness.parallel.run_cells`, the local executor a CLI
+  sweep uses -- the same in-process loop, ``spawn`` pools, per-cell
+  deadlines, retries, watchdog, graceful serial degradation, and warm
+  fan-out (each workload compiled once per batch, so concurrent jobs
+  over one benchmark never recompile).
 
 Because cells execute through the identical code path as
 ``make``-driven sweeps and results are persisted in the identical
@@ -62,20 +60,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 from repro.harness.checkpoint import CheckpointStore
 from repro.harness.experiments import SingleThreadComparison
 from repro.harness.export import to_dict
-from repro.harness.faults import (
-    FaultPolicy,
-    cell_label,
-    run_cells_supervised,
-)
-from repro.harness.parallel import (
-    _run_cell_on,
-    _run_cell_supervised,
-    make_cell_pool_factory,
-    resolve_jobs,
-)
+from repro.harness.faults import FaultPolicy, cell_label
+from repro.harness.parallel import resolve_jobs, run_cells
 from repro.harness.runner import ExperimentConfig, WorkloadCache
 from repro.harness.techniques import validate_techniques
-from repro.sim.streamstore import SharedStreamExport, StreamStore
+from repro.sim.streamstore import StreamStore
 from repro.sim.system import RunResult
 from repro.telemetry.events import SweepTelemetry
 from repro.service.jobs import (
@@ -663,115 +652,62 @@ class ExperimentScheduler:
     def _execute_batch(
         self, config: ExperimentConfig, batch: List[_CellEntry]
     ) -> None:
-        """Run one batch through the harness (dispatcher thread)."""
+        """Run one batch through the harness's local executor
+        (dispatcher thread)."""
         by_cell = {entry.cell: entry for entry in batch}
-        cells = [entry.cell for entry in batch]
         cache = WorkloadCache(config, stream_store=self.stream_store)
 
-        def record(cell: Cell, result: RunResult, timing=None) -> None:
-            entry = by_cell[cell]
+        def on_success(cell: Cell, result: RunResult, timing) -> None:
             self.checkpoint.store(config, cell[0], cell[1], result)
-            kernel = getattr(result, "kernel", None)
-            fallback = getattr(result, "kernel_fallback", None)
             with self._lock:
-                entry.timing = timing
-                if kernel == "array":
-                    self.counters["kernel_array_cells"] += 1
-                elif kernel is not None:
-                    self.counters["kernel_object_cells"] += 1
-                    if fallback is not None:
-                        self.kernel_fallbacks[fallback] = (
-                            self.kernel_fallbacks.get(fallback, 0) + 1
-                        )
-                self._finish_cell(entry, "done")
+                self._settle_done(by_cell[cell], result, timing)
 
-        workers = min(self.worker_count, len(cells))
-        if workers <= 1:
-            for cell in cells:
-                entry = by_cell[cell]
-                with self._lock:
-                    for job_id in entry.jobs:
-                        telemetry = self._telemetry.get(job_id)
-                        if telemetry is not None:
-                            telemetry.cell_started(entry.label)
-                wall = time.perf_counter()
-                cpu = time.process_time()
-                try:
-                    result = _run_cell_on(cache, cell)
-                except Exception as exc:
-                    with self._lock:
-                        self._finish_cell(
-                            entry, "failed",
-                            detail=f"{type(exc).__name__}: {exc}",
-                        )
-                else:
-                    record(cell, result, timing={
-                        "wall_seconds": time.perf_counter() - wall,
-                        "cpu_seconds": time.process_time() - cpu,
-                    })
-        else:
-            # Warm fan-out, exactly as the CLI sweep path: compile each
-            # workload once in the parent, then export via shared memory
-            # and/or let workers load blobs from the store.
-            store_root = (
-                os.fspath(self.stream_store.root)
-                if self.stream_store is not None else None
-            )
-            stream_manifest = None
-            export: Optional[SharedStreamExport] = None
-            cleanup_hooks = []
-            if self.stream_store is not None or self.shared_memory:
-                compiled = {}
-                for benchmark in dict.fromkeys(b for b, _ in cells):
-                    compiled[benchmark] = cache.compiled(benchmark)
-                if self.shared_memory:
-                    export = SharedStreamExport.create(compiled)
-                    stream_manifest = export.manifest()
-                    cleanup_hooks.append(export.close)
-
-            make_pool = make_cell_pool_factory(
-                config, workers, store_root, stream_manifest
-            )
-
-            def on_success(cell: Cell, result: RunResult) -> None:
-                record(cell, result)
-
-            def on_event(kind: str, label: str, **payload) -> None:
-                if kind not in ("retried", "timed_out"):
-                    return
-                benchmark, _, technique = label.partition("/")
-                entry = by_cell.get(
-                    (benchmark, None if technique == "lru(baseline)" else technique)
-                )
-                if entry is None:
-                    return
-                with self._lock:
-                    for job_id in entry.jobs:
-                        telemetry = self._telemetry.get(job_id)
-                        if telemetry is not None:
-                            telemetry.on_event(kind, label, **payload)
-
-            failures = run_cells_supervised(
-                make_pool,
-                _run_cell_supervised,
-                cells,
-                self.fault_policy,
-                on_success=on_success,
-                serial_fallback=(
-                    (lambda cell: _run_cell_on(cache, cell))
-                    if self.fault_policy.degrade_serially else None
-                ),
-                on_event=on_event,
-                cleanup=cleanup_hooks,
-            )
+        def on_event(kind: str, cell: Optional[Cell], **payload) -> None:
+            # Completions and failures settle through on_success and the
+            # returned failures; only progress is forwarded here.
+            entry = by_cell.get(cell)
+            if entry is None or kind not in ("started", "retried", "timed_out"):
+                return
             with self._lock:
-                for failure in failures:
-                    entry = by_cell.get(failure.cell)
-                    if entry is not None and entry.state == "running":
-                        self._finish_cell(entry, "failed", detail=str(failure))
+                for job_id in entry.jobs:
+                    telemetry = self._telemetry.get(job_id)
+                    if telemetry is not None:
+                        telemetry.on_event(kind, entry.label, **payload)
+
+        failures = run_cells(
+            config, list(by_cell),
+            cache=cache,
+            jobs=self.worker_count,
+            streams=self.stream_store,
+            shared_memory=self.shared_memory,
+            policy=self.fault_policy,
+            on_success=on_success,
+            on_event=on_event,
+        )
         with self._lock:
+            for failure in failures:
+                entry = by_cell.get(failure.cell)
+                if entry is not None and entry.state == "running":
+                    self._finish_cell(entry, "failed", detail=str(failure))
             self.counters["stream_hits"] += cache.stream_hits
             self.counters["stream_misses"] += cache.stream_misses
+
+    def _settle_done(
+        self, entry: _CellEntry, result: RunResult, timing: Optional[Dict]
+    ) -> None:
+        """Settle a computed cell: keep its timing, tally its replay
+        kernel for ``/v1/stats``, finish it (lock held)."""
+        entry.timing = timing
+        if result.kernel == "array":
+            self.counters["kernel_array_cells"] += 1
+        elif result.kernel is not None:
+            self.counters["kernel_object_cells"] += 1
+            fallback = result.kernel_fallback
+            if fallback is not None:
+                self.kernel_fallbacks[fallback] = (
+                    self.kernel_fallbacks.get(fallback, 0) + 1
+                )
+        self._finish_cell(entry, "done")
 
     def _finish_cell(
         self, entry: _CellEntry, state: str, detail: str = ""
@@ -885,8 +821,6 @@ class ExperimentScheduler:
         # Checkpoint outside the lock: a disk write must not stall
         # admission or heartbeats.
         self.checkpoint.store(config, entry.benchmark, entry.technique, result)
-        kernel = getattr(result, "kernel", None)
-        fallback = getattr(result, "kernel_fallback", None)
         with self._lock:
             if entry.state == "done":
                 return "duplicate"
@@ -901,16 +835,7 @@ class ExperimentScheduler:
                     self._queue.remove(key)
                 except ValueError:
                     pass
-            entry.timing = timing
-            if kernel == "array":
-                self.counters["kernel_array_cells"] += 1
-            elif kernel is not None:
-                self.counters["kernel_object_cells"] += 1
-                if fallback is not None:
-                    self.kernel_fallbacks[fallback] = (
-                        self.kernel_fallbacks.get(fallback, 0) + 1
-                    )
-            self._finish_cell(entry, "done")
+            self._settle_done(entry, result, timing)
             return "late" if late else "accepted"
 
     def fleet_fail(self, key: str, detail: str) -> str:

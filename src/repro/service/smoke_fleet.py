@@ -34,6 +34,7 @@ from pathlib import Path
 
 import repro
 from repro.harness.export import to_dict
+from repro.harness.faults import KILL_EXIT_CODE
 from repro.harness.parallel import parallel_single_thread_comparison
 from repro.harness.runner import ExperimentConfig, WorkloadCache
 from repro.service.client import ServiceClient
@@ -46,7 +47,6 @@ TECHNIQUES = ("sampler", "rrip")
 CONFIG = ExperimentConfig(scale=16, instructions=30_000, seed=1)
 LEASE_TTL = 3.0
 HEARTBEAT_SECONDS = 0.5
-KILL_EXIT_CODE = 67
 
 
 def _fail(message: str) -> int:

@@ -2,10 +2,10 @@
 
 A worker is a plain process that registers with a fleet-mode server,
 pulls cell batches under time-bounded leases, executes them through
-:func:`repro.harness.parallel._run_cell_on` -- the *same* single code
-path every CLI sweep and local service batch uses, which is what keeps
-fleet results bit-identical -- and posts each result back as it
-finishes.  Fleet-level parallelism comes from running many workers;
+:func:`repro.harness.parallel.timed_cell` -- the *same* single code
+path and timing record every CLI sweep and local service batch uses,
+which is what keeps fleet results bit-identical -- and posts each
+result back as it finishes.  Fleet-level parallelism comes from running many workers;
 within one worker, cells run serially, so a worker is cheap, crashable,
 and trivially reasoned about.
 
@@ -33,10 +33,12 @@ Resilience, per docs/robustness.md's fleet failure taxonomy:
   the cell in progress, deregisters -- which requeues the rest of the
   lease server-side without waiting for the TTL -- and exits.
 
-Chaos (``REPRO_CHAOS``, :class:`repro.harness.faults.ChaosSpec`)
-deterministically injects ``kill`` (exit before a cell), ``slow``
-(stall past the lease TTL, forcing split-brain re-dispatch), and
-``heartbeat`` (skip renewals) at the exact points a real fleet fails.
+Chaos (``REPRO_CHAOS``, the one grammar of :mod:`repro.harness.faults`)
+deterministically injects, at the exact points a real fleet fails,
+``kill``/``hang``/``raise`` before a cell (as a pool worker would),
+``slow`` (stall past the lease TTL, forcing split-brain re-dispatch),
+and ``heartbeat`` (skip renewals).  The dispatch attempt the lease
+names is the attempt the draws use.
 """
 
 from __future__ import annotations
@@ -45,20 +47,17 @@ import base64
 import os
 import random
 import threading
-import time
 from typing import Dict, Optional, Set, Union
 
 from repro.harness.checkpoint import result_to_wire
-from repro.harness.faults import ChaosSpec, cell_label
-from repro.harness.parallel import _run_cell_on
+from repro.harness.faults import ChaosSpec, cell_label, maybe_inject_fault
+from repro.harness.parallel import timed_cell
 from repro.harness.runner import ExperimentConfig, WorkloadCache
 from repro.sim.streamstore import CompiledWorkload, StreamStore
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import config_from_dict
 
 __all__ = ["FleetWorker"]
-
-_KILL_EXIT_CODE = 67  # distinct from REPRO_FAULT_INJECT's 66
 
 
 class FleetWorker:
@@ -314,12 +313,9 @@ class FleetWorker:
             # the split-brain case -- then we finish anyway and our
             # completion lands late or duplicate.
             self._sleep(self.lease_ttl * 1.5)
-        if self.chaos.fires("kill", label, attempt):
-            os._exit(_KILL_EXIT_CODE)  # simulated OOM kill: no cleanup
-        wall = time.perf_counter()
-        cpu = time.process_time()
         try:
-            result = _run_cell_on(cache, (benchmark, technique))
+            maybe_inject_fault((benchmark, technique), attempt, self.chaos)
+            result, timing = timed_cell(cache, (benchmark, technique))
         except Exception as exc:
             self.stats["cells_failed"] += 1
             self._post_completion(
@@ -327,10 +323,6 @@ class FleetWorker:
                 error=f"{type(exc).__name__}: {exc}",
             )
             return
-        timing = {
-            "wall_seconds": time.perf_counter() - wall,
-            "cpu_seconds": time.process_time() - cpu,
-        }
         payload = base64.b64encode(result_to_wire(result)).decode("ascii")
         self.stats["cells_completed"] += 1
         self._post_completion(

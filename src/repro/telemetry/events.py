@@ -1,8 +1,8 @@
 """Structured sweep progress events (NDJSON) and a live renderer.
 
-A long parallel sweep should not be a black box.  The supervised runner
-(:func:`repro.harness.faults.run_cells_supervised`) reports every cell
-outcome to an ``on_event`` callback; this module turns those callbacks
+A long parallel sweep should not be a black box.  The local executor
+(:func:`repro.harness.parallel.run_cells`) reports every cell outcome
+to an ``on_event`` callback; this module turns those callbacks
 into:
 
 * an **NDJSON sink** (``--events-file`` / ``REPRO_EVENTS_FILE``): one
@@ -256,10 +256,12 @@ class SweepTelemetry:
         )
 
     # ------------------------------------------------------------------
-    # on_event adapter for run_cells_supervised
+    # on_event adapter for the cell executors
     # ------------------------------------------------------------------
     def on_event(self, kind: str, cell: str, **payload: Any) -> None:
-        """Dispatch a ``(kind, cell, ...)`` callback from the runner."""
+        """Dispatch a ``(kind, cell, ...)`` callback from the runner,
+        with ``cell`` already rendered as its ``benchmark/technique``
+        label (``""`` for sweep-level kinds)."""
         handler = {
             "resumed": self.cell_resumed,
             "started": self.cell_started,

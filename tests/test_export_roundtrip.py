@@ -197,7 +197,7 @@ def test_partial_sweep_with_dedup_hit_cells_roundtrips(tmp_path, monkeypatch):
     # Phase 2: resume over perlbench+mcf with every worker attempt
     # crashing and no degradation: perlbench comes off disk, every mcf
     # cell fails, and allow_partial returns the mixed result.
-    monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:1.0")
+    monkeypatch.setenv("REPRO_CHAOS", "kill:1.0")
     comparison = parallel_single_thread_comparison(
         config, ("rrip",), ("perlbench", "mcf"), jobs=2,
         checkpoint=store, resume=True,

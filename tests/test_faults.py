@@ -1,7 +1,7 @@
 """The fault-tolerant sweep harness.
 
-These tests inject deterministic worker faults (``REPRO_FAULT_INJECT``)
-into real spawn-context pools and pin the load-bearing promises of
+These tests inject deterministic worker faults (``REPRO_CHAOS``) into
+real spawn-context pools and pin the load-bearing promises of
 :mod:`repro.harness.faults` / :mod:`repro.harness.checkpoint`:
 
 * crashes, hangs, and transient exceptions are retried / timed out /
@@ -10,7 +10,10 @@ into real spawn-context pools and pin the load-bearing promises of
   comparison is **bit-identical** to an uninterrupted serial run;
 * unrecoverable failures surface as a structured taxonomy
   (:class:`CellTimeout` / :class:`CellCrashed` / :class:`SweepAborted`)
-  naming the failing cell, or as a partial result when allowed.
+  naming the failing cell, or as a partial result when allowed -- at
+  every job count, in-process runs included.
+
+The parser tests of the one chaos grammar live here too.
 
 Everything here is ``@pytest.mark.faults`` (``make test-faults``): the
 tests spawn pools and stall workers on purpose, so each runs under the
@@ -26,16 +29,20 @@ from repro.harness.experiments import single_thread_comparison
 from repro.harness.faults import (
     CellCrashed,
     CellTimeout,
+    ChaosRule,
+    ChaosSpec,
     FaultPolicy,
     SweepAborted,
     cell_label,
     drain_cleanup_hooks,
     maybe_inject_fault,
-    parse_fault_spec,
+    parse_chaos_spec,
     run_cells_supervised,
 )
 from repro.harness.parallel import parallel_single_thread_comparison
 from repro.harness.runner import ExperimentConfig, WorkloadCache
+from repro.telemetry.events import read_events
+from repro.telemetry.manifest import RunManifest
 
 BENCHMARKS = ("perlbench", "mcf")
 TECHNIQUE_KEYS = ("rrip",)
@@ -65,30 +72,60 @@ def assert_bit_identical(reference, comparison):
 
 
 class TestFaultSpec:
+    """The one chaos grammar, ``mode[:probability][@max_attempt]``."""
+
     def test_parse_modes_and_probabilities(self):
-        assert parse_fault_spec("crash:0.1,hang:0.05") == {
-            "crash": 0.1, "hang": 0.05,
+        assert parse_chaos_spec(
+            "kill:0.1,hang:0.05,raise:0.5,slow:0.2,heartbeat:0.5,blob"
+        ) == {
+            "kill": ChaosRule(0.1),
+            "hang": ChaosRule(0.05),
+            "raise": ChaosRule(0.5),
+            "slow": ChaosRule(0.2),
+            "heartbeat": ChaosRule(0.5),
+            "blob": ChaosRule(1.0),
         }
 
+    @pytest.mark.parametrize(
+        "spec,expected",
+        [
+            ("kill:1@1", {"kill": ChaosRule(1.0, 1)}),
+            ("hang:0.5@2", {"hang": ChaosRule(0.5, 2)}),
+            ("raise@3", {"raise": ChaosRule(1.0, 3)}),
+        ],
+        ids=["kill", "hang", "raise"],
+    )
+    def test_attempt_cap(self, spec, expected):
+        assert parse_chaos_spec(spec) == expected
+
     def test_bare_mode_means_always(self):
-        assert parse_fault_spec("crash") == {"crash": 1.0}
+        for mode in ("kill", "hang", "raise", "slow", "heartbeat", "blob"):
+            assert parse_chaos_spec(mode) == {mode: ChaosRule(1.0, None)}
 
     def test_empty_and_none_disable(self):
-        assert parse_fault_spec(None) == {}
-        assert parse_fault_spec("  ") == {}
+        assert parse_chaos_spec(None) == {}
+        assert parse_chaos_spec("  ") == {}
+        assert parse_chaos_spec("") == {}
 
-    @pytest.mark.parametrize("bad", ["explode:0.5", "crash:nan-ish", "crash:1.5"])
+    # ``crash`` is the retired pool-only name for ``kill``.
+    @pytest.mark.parametrize(
+        "bad",
+        ["explode:0.5", "crash:nan-ish", "crash:1.5", "explode", "kill:1.5",
+         "kill:-0.1", "kill:x", "kill@0", "kill@x"],
+    )
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(ValueError):
-            parse_fault_spec(bad)
+            parse_chaos_spec(bad)
 
     def test_injection_is_deterministic_per_attempt(self):
         # With probability 1.0 the 'raise' mode must fire on every
         # attempt, and the exception names the cell and attempt.
         with pytest.raises(RuntimeError, match="mcf/rrip.*attempt 3"):
-            maybe_inject_fault("mcf", "rrip", 3, spec={"raise": 1.0})
-        # Probability 0.0 never fires.
-        maybe_inject_fault("mcf", "rrip", 3, spec={"raise": 0.0})
+            maybe_inject_fault(("mcf", "rrip"), 3, ChaosSpec.from_env("raise:1.0"))
+        # Probability 0.0 never fires, and an attempt cap below the
+        # attempt switches the mode off.
+        maybe_inject_fault(("mcf", "rrip"), 3, ChaosSpec.from_env("raise:0.0"))
+        maybe_inject_fault(("mcf", "rrip"), 3, ChaosSpec.from_env("raise@2"))
 
     def test_cell_label_names_baseline(self):
         assert cell_label(("mcf", None)) == "mcf/lru(baseline)"
@@ -219,7 +256,7 @@ class TestSupervisedCleanup:
             _run_cell_supervised,
             [("perlbench", None)],
             FaultPolicy(max_retries=0, **FAST),
-            on_success=lambda cell, result: results.__setitem__(cell, result),
+            on_success=lambda cell, result, timing: results.__setitem__(cell, result),
             cleanup=[early, raiser, late],
         )
         assert failures == []
@@ -232,7 +269,7 @@ class TestCrashRecovery:
     def test_transient_faults_are_retried_bit_identically(self, monkeypatch):
         # Half the (cell, attempt) draws raise; retries redraw and the
         # sweep completes with results identical to the serial run.
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "raise:0.5")
+        monkeypatch.setenv("REPRO_CHAOS", "raise:0.5")
         comparison = parallel_single_thread_comparison(
             SMALL, TECHNIQUE_KEYS, BENCHMARKS, jobs=2,
             fault_policy=FaultPolicy(max_retries=5, **FAST),
@@ -241,10 +278,10 @@ class TestCrashRecovery:
         assert_bit_identical(serial_reference(), comparison)
 
     def test_hard_crashes_degrade_to_serial(self, monkeypatch):
-        # Every parallel attempt dies via os._exit; graceful degradation
+        # Every parallel attempt is killed; graceful degradation
         # re-runs the cells in-process (where injection never applies)
         # and the sweep still completes bit-identically.
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:1.0")
+        monkeypatch.setenv("REPRO_CHAOS", "kill:1.0")
         comparison = parallel_single_thread_comparison(
             SMALL, TECHNIQUE_KEYS, BENCHMARKS, jobs=2,
             fault_policy=FaultPolicy(max_retries=0, watchdog=2.0, backoff=0.0),
@@ -253,8 +290,32 @@ class TestCrashRecovery:
         assert comparison.failure_report() == ""
         assert_bit_identical(serial_reference(), comparison)
 
+    def test_degraded_cells_keep_their_kernel_in_the_manifest(
+        self, monkeypatch, tmp_path
+    ):
+        # Degraded cells run through the same timed executor as pool
+        # cells, so the manifest records the full timing for them too.
+        monkeypatch.setenv("REPRO_CHAOS", "kill:1.0")
+        events_path = tmp_path / "events.ndjson"
+        manifest_path = tmp_path / "manifest.json"
+        comparison = parallel_single_thread_comparison(
+            SMALL, TECHNIQUE_KEYS, BENCHMARKS, jobs=2,
+            fault_policy=FaultPolicy(max_retries=0, watchdog=2.0, backoff=0.0),
+            events_file=str(events_path), manifest_path=str(manifest_path),
+        )
+        assert not comparison.is_partial
+        kinds = [event["event"] for event in read_events(str(events_path))]
+        assert "sweep_degraded" in kinds  # every cell really was degraded
+        cells = RunManifest.load(str(manifest_path))["cells"]
+        assert len(cells) == len(BENCHMARKS) * (len(TECHNIQUE_KEYS) + 1)
+        for label, cell in cells.items():
+            assert cell["status"] == "ok", label
+            assert cell["kernel"] in ("array", "object"), label
+            for key in ("wall_seconds", "cpu_seconds", "store_hits", "store_misses"):
+                assert key in cell, (label, key)
+
     def test_unrecoverable_crash_aborts_with_taxonomy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:1.0")
+        monkeypatch.setenv("REPRO_CHAOS", "kill:1.0")
         with pytest.raises(SweepAborted) as excinfo:
             parallel_single_thread_comparison(
                 SMALL, TECHNIQUE_KEYS, BENCHMARKS, jobs=2,
@@ -272,7 +333,7 @@ class TestCrashRecovery:
         # Every worker attempt crashes, degradation is off, but partial
         # results are allowed: the sweep returns with every cell named
         # in the failure report instead of raising.
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:1.0")
+        monkeypatch.setenv("REPRO_CHAOS", "kill:1.0")
         comparison = parallel_single_thread_comparison(
             SMALL, TECHNIQUE_KEYS, BENCHMARKS, jobs=2,
             fault_policy=FaultPolicy(
@@ -287,10 +348,55 @@ class TestCrashRecovery:
         assert "partial sweep" in report and "mcf" in report
 
 
+class TestInProcessFailures:
+    """``jobs=1`` runs cells through the loop degradation uses, so a
+    raising cell is a :class:`CellCrashed` there too, never a raw
+    exception."""
+
+    @pytest.fixture
+    def broken_cell(self, monkeypatch):
+        from repro.harness import parallel
+
+        real = parallel._run_cell_on
+
+        def run(cache, cell):
+            if cell == ("mcf", "rrip"):
+                raise RuntimeError("policy bug")
+            return real(cache, cell)
+
+        monkeypatch.setattr(parallel, "_run_cell_on", run)
+        return ("mcf", "rrip")
+
+    def test_partial_result_names_the_cell(self, broken_cell, tmp_path):
+        manifest_path = tmp_path / "manifest.json"
+        comparison = parallel_single_thread_comparison(
+            SMALL, TECHNIQUE_KEYS, BENCHMARKS, jobs=1, allow_partial=True,
+            manifest_path=str(manifest_path),
+        )
+        assert comparison.is_partial
+        assert [f.cell for f in comparison.failures] == [broken_cell]
+        assert isinstance(comparison.failures[0], CellCrashed)
+        assert "policy bug" in comparison.failure_report()
+        assert "rrip" in comparison.results["perlbench"]
+        assert "mcf" in comparison.baseline
+        manifest = RunManifest.load(str(manifest_path))
+        assert manifest["status"] == "partial"
+        assert manifest["cells"]["mcf/rrip"]["status"] == "failed"
+
+    def test_sweep_aborted_names_the_cell(self, broken_cell):
+        with pytest.raises(SweepAborted) as excinfo:
+            parallel_single_thread_comparison(
+                SMALL, TECHNIQUE_KEYS, BENCHMARKS, jobs=1,
+            )
+        assert [f.cell for f in excinfo.value.failures] == [broken_cell]
+        assert excinfo.value.completed == len(BENCHMARKS) * 2 - 1
+        assert "mcf/rrip" in str(excinfo.value)
+
+
 @pytest.mark.faults
 class TestTimeouts:
     def test_hung_workers_time_out_and_degrade(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "hang:1.0")
+        monkeypatch.setenv("REPRO_CHAOS", "hang:1.0")
         comparison = parallel_single_thread_comparison(
             SMALL, TECHNIQUE_KEYS, ("perlbench",), jobs=2,
             fault_policy=FaultPolicy(
@@ -307,7 +413,7 @@ class TestTimeouts:
         )
 
     def test_timeout_failures_carry_cell_identity(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "hang:1.0")
+        monkeypatch.setenv("REPRO_CHAOS", "hang:1.0")
         with pytest.raises(SweepAborted) as excinfo:
             parallel_single_thread_comparison(
                 SMALL, TECHNIQUE_KEYS, ("perlbench",), jobs=2,
@@ -336,7 +442,7 @@ class TestCheckpointResume:
         # and checkpointed, others not -- the "killed mid-run" half of
         # the acceptance scenario.  The injection hash is deterministic,
         # so the phase-1 outcome is pinned, not flaky.
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "raise:0.5")
+        monkeypatch.setenv("REPRO_CHAOS", "raise:0.5")
         with pytest.raises(SweepAborted) as excinfo:
             parallel_single_thread_comparison(
                 SMALL, TECHNIQUE_KEYS, BENCHMARKS, jobs=2,
@@ -353,7 +459,7 @@ class TestCheckpointResume:
         assert 0 < completed_before < total_cells
 
         # Phase 2: faults off, resume from the checkpoint.
-        monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
         resumed = parallel_single_thread_comparison(
             SMALL, TECHNIQUE_KEYS, BENCHMARKS, jobs=2,
             checkpoint=store, resume=True,
@@ -376,7 +482,7 @@ class TestCheckpointResume:
         # Transient faults + retries: every completed cell lands in the
         # store even though some attempts failed along the way.
         store = CheckpointStore(tmp_path / "ckpt")
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "raise:0.5")
+        monkeypatch.setenv("REPRO_CHAOS", "raise:0.5")
         comparison = parallel_single_thread_comparison(
             SMALL, TECHNIQUE_KEYS, BENCHMARKS, jobs=2,
             checkpoint=store,

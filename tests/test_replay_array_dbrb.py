@@ -49,6 +49,7 @@ from repro.cache.cache import Cache, CacheAccess
 from repro.cache.geometry import CacheGeometry
 from repro.core import DBRBPolicy, SamplingDeadBlockPredictor
 from repro.harness.experiments import ABLATION_VARIANTS
+from repro.harness.faults import KILL_EXIT_CODE
 from repro.predictors import CountingPredictor, RefTracePredictor
 from repro.replacement import LRUPolicy, RandomPolicy, TreePLRUPolicy
 from repro.sim.hierarchy import PreparedStream
@@ -425,9 +426,6 @@ def test_dbrb_sweep_bit_identity_array_on_parallel_shm(monkeypatch):
 # ----------------------------------------------------------------------
 # fleet: a sampler sweep survives a chaos-killed worker bit-identically
 # ----------------------------------------------------------------------
-_KILL_EXIT_CODE = 67
-
-
 def _spawn_worker(url, name, root, extra_env):
     env = dict(os.environ)
     src_dir = str(Path(repro.__file__).resolve().parents[1])
@@ -505,7 +503,7 @@ def test_fleet_sampler_bit_identity_across_chaos_kill(tmp_path, monkeypatch):
             time.sleep(0.1)
         else:
             pytest.fail("victim worker never leased a cell")
-        assert victim.wait(timeout=60.0) == _KILL_EXIT_CODE
+        assert victim.wait(timeout=60.0) == KILL_EXIT_CODE
 
         survivor = _spawn_worker(
             url, "survivor", tmp_path, {"REPRO_ARRAY_KERNEL": "1"}

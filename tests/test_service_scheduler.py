@@ -18,7 +18,8 @@ import time
 import pytest
 
 from repro.harness.checkpoint import CheckpointStore
-from repro.harness.runner import ExperimentConfig
+from repro.harness.parallel import parallel_single_thread_comparison
+from repro.harness.runner import ExperimentConfig, WorkloadCache
 from repro.service.jobs import QueueFull
 from repro.service.scheduler import ExperimentScheduler
 
@@ -179,6 +180,40 @@ class TestExecution:
             assert terminal
             assert kinds[0] == "sweep_started" and kinds[-1] == "sweep_finished"
             assert "cell_finished" in kinds
+        finally:
+            scheduler.close(timeout=30.0)
+
+    @pytest.mark.parametrize("worker_count", [1, 2])
+    def test_replay_kernel_stats_tally_the_cells(self, tmp_path, worker_count):
+        # /v1/stats' replay_kernel section counts each executed cell's
+        # RunResult.kernel / kernel_fallback, in-process and pooled.  At
+        # this config perlbench's stream is too short for the array
+        # kernel and mcf's counting cell declines it, so all three
+        # counters move.
+        config = ExperimentConfig(scale=32, instructions=12_000, seed=1)
+        benchmarks, techniques = ["perlbench", "mcf"], ["rrip", "cdbp"]
+        reference = parallel_single_thread_comparison(
+            WorkloadCache(config), techniques, benchmarks, jobs=1
+        )
+        runs = [reference.baseline[b] for b in benchmarks] + [
+            reference.results[b][t] for b in benchmarks for t in techniques
+        ]
+        fallbacks = {}
+        for run in runs:
+            if run.kernel_fallback is not None:
+                fallbacks[run.kernel_fallback] = fallbacks.get(run.kernel_fallback, 0) + 1
+        expected = {
+            "array_cells": sum(run.kernel == "array" for run in runs),
+            "object_cells": sum(run.kernel == "object" for run in runs),
+            "fallbacks": fallbacks,
+        }
+        assert expected["array_cells"] and len(fallbacks) == 2
+
+        scheduler = make_scheduler(tmp_path, jobs=worker_count)
+        try:
+            job = scheduler.submit(config, benchmarks, techniques, sweep=True)
+            assert wait_terminal(scheduler, job.id).state == "done"
+            assert scheduler.stats()["replay_kernel"] == expected
         finally:
             scheduler.close(timeout=30.0)
 
